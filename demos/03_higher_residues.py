@@ -54,4 +54,4 @@ print()
 print("== independence of the projector window ==")
 for m in (-2, 0, 3):
     idem = GoodIdempotents(2, QQ, thresholds=(m, m))
-    print(f"  threshold {m:+d}: phi =", phi_hh_closed(chain, None, idem))
+    print(f"  threshold {m:+d}: phi =", phi_hh_closed(chain, idempotents=idem))

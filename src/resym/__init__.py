@@ -22,8 +22,8 @@ from .homology import (HochschildChain, LabeledChain, LieChain, ce_delta,
                        n_partial, phi_c, phi_hh_closed, phi_hh_zigzag, psi)
 from .laurent import (DifferentialForm, LaurentPoly, TruncatedSeries,
                       binomial_series, substitute_1d)
-from .operators import (CubicalStructure, GoodIdempotents, WindowedOperator,
-                        ideal_member, in_trace_ideal, is_finite_rank, mul_op,
+from .operators import (GoodIdempotents, WindowedOperator, ideal_member,
+                        in_trace_ideal, is_finite_rank, mul_op,
                         operator_from_json, projector, tate_trace)
 from .parser import (parse_expression, parse_extension_modulus, parse_form,
                      parse_laurent, parse_rational_function, parse_scalar,

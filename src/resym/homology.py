@@ -13,6 +13,8 @@ canonical WindowedOperators, so like terms merge structurally.  Zero
 testing is genuinely semantic: slots are expanded over a computed linear
 basis of the operators involved, which resolves cancellations that are
 invisible term-by-term (Jacobi identities, resolutions of the identity).
+The coordinates that basis is computed from come from
+`operators.grid_coordinates`, so this module never sees the cell grid.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ from itertools import permutations, product
 from .errors import (DecompositionError, DimensionMismatch, FieldMismatch,
                      MembershipError, NotACycle)
 from .laurent import DifferentialForm
-from .operators import (MINUS, PLUS, CubicalStructure, GoodIdempotents,
-                        WindowedOperator, ideal_member, mul_op, projector)
+# Evaluators call operators.tate_trace through the module so that a
+# replacement of the module attribute (bench/tracer.py) is seen.
+from . import operators
+from .operators import (MINUS, PLUS, GoodIdempotents, WindowedOperator,
+                        grid_coordinates, ideal_member, mul_op, projector)
 from .scalars import render_scalar
 
 ZERO = "0"
@@ -330,39 +335,6 @@ class _Span:
         return combo
 
 
-def _vectorize_ops(ops, field):
-    """Coordinates of each operator over a common (shift, cell) grid."""
-    shifts = sorted({shift for op in ops for _, shift, _ in op.terms})
-    vectors = [dict() for _ in ops]
-    index = 0
-    for shift in shifts:
-        dim = ops[0].dim
-        breaks = [sorted({b for op in ops for _, s, win in op.terms if s == shift
-                          for b in win[axis] if b is not None})
-                  for axis in range(dim)]
-
-        def intervals(bs):
-            if not bs:
-                return [(None, None)]
-            out = [(None, bs[0])]
-            out.extend((bs[i], bs[i + 1]) for i in range(len(bs) - 1))
-            out.append((bs[-1], None))
-            return out
-
-        for cell in product(*[intervals(b) for b in breaks]):
-            rep = tuple(lo if lo is not None else (hi - 1 if hi is not None else 0)
-                        for lo, hi in cell)
-            used = False
-            for i, op in enumerate(ops):
-                val = op.evaluate(shift, rep)
-                if val:
-                    vectors[i][index] = val
-                    used = True
-            if used:
-                index += 1
-    return vectors
-
-
 def _zero_test_entries(chain):
     if isinstance(chain, HochschildChain):
         return [(None, tensor, coeff) for tensor, coeff in chain.terms.items()]
@@ -392,7 +364,6 @@ def chain_is_zero(chain) -> bool:
     entries = _zero_test_entries(chain)
     if not entries:
         return True
-    field = chain.field
     ops = []
     op_index: dict = {}
     for _, tensor, _ in entries:
@@ -400,9 +371,8 @@ def chain_is_zero(chain) -> bool:
             if slot not in op_index:
                 op_index[slot] = len(ops)
                 ops.append(slot)
-    vectors = _vectorize_ops(ops, field)
-    span = _Span(field)
-    combos = [span.express(v) for v in vectors]
+    span = _Span(chain.field)
+    combos = [span.express(v) for v in grid_coordinates(ops)]
     total: dict = {}
     for label, tensor, coeff in entries:
         partial = {(): coeff}
@@ -664,24 +634,16 @@ def _bracket_factor(axis: int, op: WindowedOperator, idempotents: GoodIdempotent
     return (minus @ op @ plus) - (plus @ op @ minus)
 
 
-def _defaults(chain, structure, idempotents):
-    if structure is None:
-        structure = CubicalStructure(chain.dim, chain.field)
-    if idempotents is None:
-        idempotents = GoodIdempotents(chain.dim, chain.field)
-    return structure, idempotents
-
-
-def phi_hh_closed(chain: HochschildChain, structure: CubicalStructure = None,
-                  idempotents: GoodIdempotents = None):
+def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
     """Closed product formula for the degree-n residue functional.
 
     phi(f_0 (x) .. (x) f_n) = (-1)^n tau(B_1 B_2 .. B_n f_0) where
     B_k = sum_g (-1)^g P_k^{-g} f_k P_k^{g}.  The operand is finite rank for
     windowed slots, so the trace always applies; trace refusals propagate.
     """
-    structure, idempotents = _defaults(chain, structure, idempotents)
-    n = structure.dim
+    n = chain.dim
+    if idempotents is None:
+        idempotents = GoodIdempotents(n, chain.field)
     if chain.degree != n:
         raise DimensionMismatch(f"need a degree-{n} chain")
     total = chain.field.zero
@@ -690,12 +652,11 @@ def phi_hh_closed(chain: HochschildChain, structure: CubicalStructure = None,
         op = tensor[0]
         for k in range(n, 0, -1):
             op = _bracket_factor(k, tensor[k], idempotents) @ op
-        total = total + coeff * outer * structure.trace(op)
+        total = total + coeff * outer * operators.tate_trace(op)
     return total
 
 
-def phi_hh_zigzag(chain: HochschildChain, structure: CubicalStructure = None,
-                  idempotents: GoodIdempotents = None):
+def phi_hh_zigzag(chain: HochschildChain, idempotents: GoodIdempotents = None):
     """Staircase evaluation of the same functional through the homotopy.
 
     The cycle is embedded at level 0, lifted with H, and pushed along
@@ -704,8 +665,9 @@ def phi_hh_zigzag(chain: HochschildChain, structure: CubicalStructure = None,
     reads off the value.  Requires an honest cycle; agrees with
     phi_hh_closed there.
     """
-    structure, idempotents = _defaults(chain, structure, idempotents)
-    n = structure.dim
+    n = chain.dim
+    if idempotents is None:
+        idempotents = GoodIdempotents(n, chain.field)
     if chain.degree != n:
         raise DimensionMismatch(f"need a degree-{n} chain")
     if not chain_is_zero(hochschild_b(chain)):
@@ -715,20 +677,18 @@ def phi_hh_zigzag(chain: HochschildChain, structure: CubicalStructure = None,
         lifted = homotopy_H(hochschild_b(lifted), idempotents)
     total = chain.field.zero
     for (_, tensor), coeff in lifted.terms.items():
-        total = total + coeff * structure.trace(tensor[0])
+        total = total + coeff * operators.tate_trace(tensor[0])
     return total
 
 
-def lambda_toeplitz(op: WindowedOperator, structure: CubicalStructure = None) -> WindowedOperator:
+def lambda_toeplitz(op: WindowedOperator) -> WindowedOperator:
     """The Toeplitz-style splitting representative x -> x^+ = P_n^+ x.
 
     The complement P_n^- x is checked against the discrete ideal on the
     last axis, certifying x = x^+ + x^- with the parts in I_n^{+/-}; for
     windowed operators this cannot fail and the guard is an assertion.
     """
-    if structure is None:
-        structure = CubicalStructure(op.dim, op.field)
-    n = structure.dim
+    n = op.dim
     plus_part = projector(n, n, PLUS, op.field) @ op
     minus_part = projector(n, n, MINUS, op.field) @ op
     if not ideal_member(minus_part, n, MINUS):
@@ -774,14 +734,14 @@ def psi(chain: HochschildChain, level: int, idempotents: GoodIdempotents = None)
     return HochschildChain(n, chain.field, s - 1, out)
 
 
-def phi_c(chain: HochschildChain, structure: CubicalStructure = None,
-          idempotents: GoodIdempotents = None):
+def phi_c(chain: HochschildChain, idempotents: GoodIdempotents = None):
     """Iterated connecting-map functional: tau after n applications of Psi.
 
     Satisfies phi_c = (-1)^{n(n-1)/2} phi_hh_closed at chain level.
     """
-    structure, idempotents = _defaults(chain, structure, idempotents)
-    n = structure.dim
+    n = chain.dim
+    if idempotents is None:
+        idempotents = GoodIdempotents(n, chain.field)
     if chain.degree != n:
         raise DimensionMismatch(f"need a degree-{n} chain")
     current = chain
@@ -789,12 +749,11 @@ def phi_c(chain: HochschildChain, structure: CubicalStructure = None,
         current = psi(current, s, idempotents)
     total = chain.field.zero
     for tensor, coeff in current.terms.items():
-        total = total + coeff * structure.trace(tensor[0])
+        total = total + coeff * operators.tate_trace(tensor[0])
     return total
 
 
-def commutator_formula(chain: LieChain, structure: CubicalStructure = None,
-                       idempotents: GoodIdempotents = None):
+def commutator_formula(chain: LieChain, idempotents: GoodIdempotents = None):
     """Cascading-commutator functional on coefficient-bearing Lie chains.
 
     f_0 (x) f_1 ^..^ f_n -> (-1)^n tau sum_sigma sgn(sigma) sum_g
@@ -802,8 +761,9 @@ def commutator_formula(chain: LieChain, structure: CubicalStructure = None,
     (P_n^{-g_n} ad(f_{sigma^-1(n)}) P_n^{g_n}) f_0, with ad(f) = [f, -].
     Agrees with phi_hh_closed after antisymmetrization.
     """
-    structure, idempotents = _defaults(chain, structure, idempotents)
-    n = structure.dim
+    n = chain.dim
+    if idempotents is None:
+        idempotents = GoodIdempotents(n, chain.field)
     if chain.degree != n:
         raise DimensionMismatch(f"need wedge degree {n}")
     total = chain.field.zero
@@ -826,5 +786,5 @@ def commutator_formula(chain: LieChain, structure: CubicalStructure = None,
                         break
                 if op.is_zero():
                     continue
-                total = total + coeff * (outer * psign * gsign) * structure.trace(op)
+                total = total + coeff * (outer * psign * gsign) * operators.tate_trace(op)
     return total

@@ -16,6 +16,8 @@ key dictionaries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
 from itertools import product
 
 from .errors import (DimensionMismatch, FieldMismatch, NotProvablyFinitePotent)
@@ -72,14 +74,23 @@ def _axis_key(w):
     return ((0, 0) if lo is None else (1, lo), (0, hi) if hi is not None else (1, 0))
 
 
-def _interval_rep(w) -> int:
-    """A point inside a nonempty axis interval."""
-    lo, hi = w
-    if lo is not None:
-        return lo
-    if hi is not None:
-        return hi - 1
-    return 0
+def _breakpoint_grid(dim: int, windows):
+    """The common breakpoint grid of a collection of windows.
+
+    Returns the intervals each axis splits into at the finite window ends
+    (one full axis when there are none), and a map from each window to the
+    per-axis ranges of interval indices it covers.
+    """
+    axes_breaks = [sorted({b for win in windows for b in win[axis] if b is not None})
+                   for axis in range(dim)]
+    axes_intervals = [list(zip([None] + breaks, breaks + [None])) for breaks in axes_breaks]
+    # interval k spans [breaks[k-1], breaks[k]), so an end b opens interval
+    # bisect_left(breaks, b) + 1
+    spans = {win: tuple(range(0 if lo is None else bisect_left(breaks, lo) + 1,
+                              len(breaks) + 1 if hi is None else bisect_left(breaks, hi) + 1)
+                        for (lo, hi), breaks in zip(win, axes_breaks))
+             for win in windows}
+    return axes_intervals, spans
 
 
 def _grid_normal_form(dim: int, items):
@@ -89,28 +100,19 @@ def _grid_normal_form(dim: int, items):
     coefficients, drops zeros, then removes every breakpoint across which
     the resulting function does not actually change.  The surviving grid is
     the set of genuine discontinuities, hence independent of presentation.
+    One nonempty box is already its own canonical form.
     """
-    axes_breaks = [sorted({b for _, win in items for b in win[axis] if b is not None})
-                   for axis in range(dim)]
-
-    def intervals_from_breaks(breaks):
-        if not breaks:
-            return [FULL_AXIS]
-        out = [(None, breaks[0])]
-        out.extend((breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1))
-        out.append((breaks[-1], None))
-        return out
-
-    axes_intervals = [intervals_from_breaks(b) for b in axes_breaks]
-    cells = {}
-    for cell in product(*axes_intervals):
-        rep = tuple(_interval_rep(w) for w in cell)
-        value = None
-        for coeff, win in items:
-            if _window_contains(win, rep):
-                value = coeff if value is None else value + coeff
-        if value:
-            cells[cell] = value
+    if len(items) == 1:
+        coeff, win = items[0]
+        return {win: coeff}
+    axes_intervals, spans = _breakpoint_grid(dim, [win for _, win in items])
+    sums = {}
+    for coeff, win in items:
+        for idx in product(*spans[win]):
+            prev = sums.get(idx)
+            sums[idx] = coeff if prev is None else prev + coeff
+    cells = {tuple(ivs[k] for ivs, k in zip(axes_intervals, idx)): value
+             for idx, value in sums.items() if value}
 
     changed = True
     while changed and cells:
@@ -139,6 +141,29 @@ def _grid_normal_form(dim: int, items):
                 else:
                     k += 1
     return cells
+
+
+def grid_coordinates(ops):
+    """Coordinates of operators on their common (shift, grid cell) basis.
+
+    Per shift, the breakpoint grid of every canonical window refines each
+    operator's cells, so each operator is constant on each grid cell.  One
+    sparse vector {cell index: coefficient} per operator results; a linear
+    relation holds among the operators exactly when it holds among these.
+    """
+    by_shift: dict = {}
+    for i, op in enumerate(ops):
+        for coeff, shift, win in op.terms:
+            by_shift.setdefault(shift, []).append((i, coeff, win))
+    vectors = [{} for _ in ops]
+    index: dict = {}
+    for shift, entries in by_shift.items():
+        _, spans = _breakpoint_grid(len(shift), [win for _, _, win in entries])
+        for i, coeff, win in entries:
+            # the canonical cells of one operator are disjoint
+            for idx in product(*spans[win]):
+                vectors[i][index.setdefault((shift, idx), len(index))] = coeff
+    return vectors
 
 
 class WindowedOperator:
@@ -321,11 +346,13 @@ def mul_op(f: LaurentPoly) -> WindowedOperator:
     return WindowedOperator(f.dim, f.field, terms)
 
 
+@lru_cache(maxsize=256)
 def projector(dim: int, axis: int, sign: str, field=QQ, threshold: int = 0) -> WindowedOperator:
     """The good idempotent P_axis^sign (axis is 1-based).
 
     P^+ keeps monomials with exponent >= threshold on the axis, P^- its
-    complement; threshold 0 gives the standard projectors.
+    complement; threshold 0 gives the standard projectors.  Results are
+    cached: operators are immutable values.
     """
     if not 1 <= axis <= dim:
         raise DimensionMismatch(f"axis {axis} out of range for n={dim}")
@@ -339,7 +366,7 @@ def projector(dim: int, axis: int, sign: str, field=QQ, threshold: int = 0) -> W
 class GoodIdempotents:
     """The commuting projector system P_1^+ .. P_n^+ (plus complements)."""
 
-    __slots__ = ("dim", "field", "thresholds", "_cache")
+    __slots__ = ("dim", "field", "thresholds")
 
     def __init__(self, dim: int, field=QQ, thresholds=None):
         self.dim = dim
@@ -347,14 +374,9 @@ class GoodIdempotents:
         self.thresholds = tuple(thresholds) if thresholds is not None else (0,) * dim
         if len(self.thresholds) != dim:
             raise DimensionMismatch("one threshold per axis required")
-        self._cache: dict = {}
 
     def P(self, axis: int, sign: str) -> WindowedOperator:
-        key = (axis, sign)
-        if key not in self._cache:
-            self._cache[key] = projector(self.dim, axis, sign, self.field,
-                                         self.thresholds[axis - 1])
-        return self._cache[key]
+        return projector(self.dim, axis, sign, self.field, self.thresholds[axis - 1])
 
 
 # -- ideal predicates and the trace -----------------------------------------
@@ -428,25 +450,3 @@ def tate_trace(x: WindowedOperator):
         return x.field.zero
     raise NotProvablyFinitePotent(
         "operator is neither finite rank nor certified nilpotent by shifts")
-
-
-class CubicalStructure:
-    """Bundle of the 2n ideal predicates and the trace for one algebra."""
-
-    __slots__ = ("dim", "field")
-
-    def __init__(self, dim: int, field=QQ):
-        self.dim = dim
-        self.field = field
-
-    def ideal_member(self, x: WindowedOperator, axis: int, sign: str) -> bool:
-        return ideal_member(x, axis, sign)
-
-    def is_finite_rank(self, x: WindowedOperator) -> bool:
-        return is_finite_rank(x)
-
-    def in_trace_ideal(self, x: WindowedOperator) -> bool:
-        return in_trace_ideal(x)
-
-    def trace(self, x: WindowedOperator):
-        return tate_trace(x)

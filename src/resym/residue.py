@@ -17,7 +17,7 @@ from .errors import PrecisionError, ValuationError
 from .homology import hkr_antisymmetrize, phi_hh_closed
 from .laurent import (EXACT_ORDER, DifferentialForm, LaurentPoly,
                       TruncatedSeries, binomial_series, substitute_1d)
-from .operators import CubicalStructure, GoodIdempotents
+from .operators import GoodIdempotents
 from .polynomials import PolyQ, factor_monic, is_irreducible, shifted_coefficients
 from .scalars import QQ, ExtensionField, field_trace
 
@@ -124,15 +124,14 @@ class Place:
 # -- the residue of a differential form -------------------------------------
 
 
-def residue_form(form: DifferentialForm, structure: CubicalStructure = None,
-                 idempotents: GoodIdempotents = None) -> Fraction:
+def residue_form(form: DifferentialForm, idempotents: GoodIdempotents = None) -> Fraction:
     """Residue of f_0 df_1 ^..^ df_n, folded down to Q.
 
     Computed as the field trace of the closed residue functional applied to
     the antisymmetrization of the form.  On monomial entries with vanishing
     column sums this is Tr(beta) times the exponent determinant, else 0.
     """
-    value = phi_hh_closed(hkr_antisymmetrize(form), structure, idempotents)
+    value = phi_hh_closed(hkr_antisymmetrize(form), idempotents)
     return field_trace(value)
 
 

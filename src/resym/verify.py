@@ -1,14 +1,16 @@
-"""Property suites behind `resym verify`, plus the random samplers they use.
+"""Property suites behind `resym verify`, plus the random samplers and the
+dense-trace oracle they use.
 
 Each suite runs a deterministic seeded batch of checks and reports
 {"suite", "cases", "failures"}; the command exits nonzero exactly when a
-failure name appears.  The tests package reuses the samplers.
+failure name appears.  The tests package reuses the samplers and the oracle.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from .homology import (HochschildChain, LabeledChain, LieChain, ce_delta,
                        ce_delta_coefficients, chain_is_zero, chains_equal,
@@ -18,7 +20,7 @@ from .homology import (HochschildChain, LabeledChain, LieChain, ce_delta,
                        phi_hh_zigzag)
 from .laurent import DifferentialForm, LaurentPoly
 from .operators import (GoodIdempotents, WindowedOperator, ideal_member,
-                        is_finite_rank, mul_op, projector, tate_trace)
+                        mul_op, projector, tate_trace)
 from .polynomials import PolyQ
 from .residue import (RationalFunction, coordinate_invariance_check_1d,
                       global_residue_sum, nodal_factorization_check,
@@ -122,6 +124,34 @@ def rand_lie_chain(rng: random.Random, dim: int, degree: int, field=QQ) -> LieCh
     return LieChain(dim, field, degree, data)
 
 
+def rand_labeled_chain(rng: random.Random, dim: int, level: int, degree: int,
+                       field=QQ) -> LabeledChain:
+    """Two random labeled terms; each module slot is cut down by a box into
+    the ideal intersection its label prescribes."""
+    data = []
+    for _ in range(2):
+        if level == 0:
+            label = None
+            m = rand_operator(rng, dim, field)
+        else:
+            label = rng.choice(labels_of_degree(dim, level))
+            window = []
+            for s in label:
+                if s == "+":
+                    window.append((rng.randint(-2, 0), None))
+                elif s == "-":
+                    window.append((None, rng.randint(0, 2)))
+                else:
+                    window.append((rng.randint(-2, 0), rng.randint(1, 3)))
+            m = WindowedOperator.single(dim, 1, (0,) * dim, tuple(window), field) \
+                @ rand_operator(rng, dim, field)
+        if m.is_zero():
+            continue
+        tensor = (m,) + tuple(rand_operator(rng, dim, field) for _ in range(degree))
+        data.append(((label, tensor), rand_fraction(rng, nonzero=True)))
+    return LabeledChain(dim, field, level, degree, data)
+
+
 def rand_cycle(rng: random.Random, dim: int, field=QQ) -> HochschildChain:
     """A Hochschild cycle: the antisymmetrization of a random form."""
     form = DifferentialForm(rand_laurent(rng, dim, field),
@@ -155,6 +185,24 @@ def rand_rational_function(rng: random.Random, quadratic: bool = False) -> Ratio
     return RationalFunction(num, den)
 
 
+# -- oracles ------------------------------------------------------------------
+
+
+def dense_trace(x: WindowedOperator):
+    """Trace of a finite-rank operator read off its dense matrix.
+
+    Every matrix entry (lam + shift, lam) is enumerated and the diagonal
+    entries are summed; no shortcut of tate_trace is shared.
+    """
+    entries: dict = {}
+    for coeff, shift, window in x.terms:
+        for lam in product(*(range(lo, hi) for lo, hi in window)):
+            key = (tuple(a + b for a, b in zip(lam, shift)), lam)
+            entries[key] = entries.get(key, x.field.zero) + coeff
+    return sum((v for (target, source), v in entries.items() if target == source),
+               x.field.zero)
+
+
 # -- suites -------------------------------------------------------------------
 
 
@@ -186,29 +234,7 @@ def suite_axioms(seed: int = 20250810) -> dict:
     for n in (1, 2):
         for k in range(10):
             level = rng.randint(0, n + 1)
-            deg = rng.randint(1, 2)
-            data = []
-            for _ in range(2):
-                if level == 0:
-                    label = None
-                    m = rand_operator(rng, n)
-                else:
-                    label = rng.choice(labels_of_degree(n, level))
-                    window = []
-                    for s in label:
-                        if s == "+":
-                            window.append((rng.randint(-2, 0), None))
-                        elif s == "-":
-                            window.append((None, rng.randint(0, 2)))
-                        else:
-                            window.append((rng.randint(-2, 0), rng.randint(1, 3)))
-                    m = WindowedOperator.single(n, 1, (0,) * n, tuple(window)) \
-                        @ rand_operator(rng, n)
-                if m.is_zero():
-                    continue
-                tensor = (m,) + tuple(rand_operator(rng, n) for _ in range(deg))
-                data.append(((label, tensor), rand_fraction(rng, nonzero=True)))
-            ch = LabeledChain(n, QQ, level, deg, data)
+            ch = rand_labeled_chain(rng, n, level, rng.randint(1, 2))
             acc = None
             if level <= n:
                 acc = n_partial(homotopy_H(ch))
@@ -225,8 +251,7 @@ def suite_axioms(seed: int = 20250810) -> dict:
     for n in (1, 2):
         for k in range(15):
             x = rand_operator(rng, n, finite=True)
-            dense = _dense_trace(x)
-            checks.append((f"t1-n{n}-{k}", tate_trace(x) == dense))
+            checks.append((f"t1-n{n}-{k}", tate_trace(x) == dense_trace(x)))
             y = rand_operator(rng, n, finite=True)
             checks.append((f"t5-n{n}-{k}", tate_trace(x @ y) == tate_trace(y @ x)))
             z = rand_strict_shift_operator(rng, n)
@@ -247,18 +272,6 @@ def suite_axioms(seed: int = 20250810) -> dict:
                                    ideal_member(a @ member, axis, sign)
                                    and ideal_member(member @ a, axis, sign)))
     return {"suite": "axioms", **_run(checks)}
-
-
-def _dense_trace(x: WindowedOperator):
-    total = x.field.zero
-    for coeff, shift, window in x.terms:
-        if any(s != 0 for s in shift):
-            continue
-        size = 1
-        for lo, hi in window:
-            size *= hi - lo
-        total = total + coeff * size
-    return total
 
 
 def suite_compare(seed: int = 777) -> dict:
@@ -300,14 +313,14 @@ def suite_compare(seed: int = 777) -> dict:
         idem = GoodIdempotents(1, QQ, thresholds=(m,))
         anchor = hkr_antisymmetrize(DifferentialForm(
             LaurentPoly.monomial(1, (-1,)), [LaurentPoly.variable(1, 1)]))
-        checks.append((f"shift-anchor-{m}", phi_hh_closed(anchor, None, idem) == 1))
+        checks.append((f"shift-anchor-{m}", phi_hh_closed(anchor, idempotents=idem) == 1))
     rng2 = random.Random(seed + 1)
     for k in range(10):
         cycle = rand_cycle(rng2, 2)
         base = phi_hh_closed(cycle)
         m1, m2 = rng2.randint(-3, 3), rng2.randint(-3, 3)
         idem = GoodIdempotents(2, QQ, thresholds=(m1, m2))
-        checks.append((f"shift-n2-{k}", phi_hh_closed(cycle, None, idem) == base))
+        checks.append((f"shift-n2-{k}", phi_hh_closed(cycle, idempotents=idem) == base))
     for k in range(10):
         f = rand_laurent(rng2, 1, terms=3, exp_bound=4)
         if f.is_zero():

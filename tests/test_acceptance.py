@@ -12,16 +12,17 @@ from fractions import Fraction
 from itertools import product
 
 from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
-                   HochschildChain, LabeledChain, LaurentPoly, LieChain, PolyQ,
-                   QQ, WindowedOperator, ce_delta, ce_delta_coefficients,
-                   chain_is_zero, chains_equal, commutator_formula, cyclic_t,
-                   epsilon, hkr_antisymmetrize, hochschild_b, homotopy_H,
-                   labels_of_degree, mul_op, n_partial, nodal_factorization_check,
+                   HochschildChain, LaurentPoly, LieChain, PolyQ, QQ,
+                   ce_delta, ce_delta_coefficients, chain_is_zero,
+                   chains_equal, commutator_formula, cyclic_t, epsilon,
+                   hkr_antisymmetrize, hochschild_b, homotopy_H, mul_op,
+                   n_partial, nodal_factorization_check,
                    phi_c, phi_hh_closed, phi_hh_zigzag, projector,
                    coordinate_invariance_check_1d, global_residue_sum,
                    residue_form, residue_monomial_det, tate_trace)
-from resym.verify import (rand_commuting_lie_chain, rand_cycle, rand_fraction,
-                          rand_hochschild_chain, rand_laurent, rand_lie_chain,
+from resym.verify import (dense_trace, rand_commuting_lie_chain, rand_cycle,
+                          rand_fraction, rand_hochschild_chain,
+                          rand_labeled_chain, rand_laurent, rand_lie_chain,
                           rand_operator, rand_rational_function,
                           rand_strict_shift_operator)
 
@@ -120,30 +121,6 @@ def test_criterion_04_commutator_formula():
             assert commutator_formula(lc) == tate_trace((P @ f0).commutator(f1))
 
 
-def _rand_labeled(rng, n, level, degree):
-    data = []
-    for _ in range(2):
-        if level == 0:
-            label, m = None, rand_operator(rng, n)
-        else:
-            label = rng.choice(labels_of_degree(n, level))
-            window = []
-            for s in label:
-                if s == "+":
-                    window.append((rng.randint(-2, 0), None))
-                elif s == "-":
-                    window.append((None, rng.randint(0, 2)))
-                else:
-                    window.append((rng.randint(-2, 0), rng.randint(1, 3)))
-            m = WindowedOperator.single(n, 1, (0,) * n, tuple(window)) \
-                @ rand_operator(rng, n)
-        if m.is_zero():
-            continue
-        tensor = (m,) + tuple(rand_operator(rng, n) for _ in range(degree))
-        data.append(((label, tensor), rand_fraction(rng, nonzero=True)))
-    return LabeledChain(n, QQ, level, degree, data)
-
-
 def test_criterion_05_homological_identities():
     with _Clock(5, "b2, ce2, d2, H2, dH+Hd=id, chain map"):
         rng = random.Random(9004)
@@ -163,16 +140,16 @@ def test_criterion_05_homological_identities():
                     assert chain_is_zero(ce_delta(ce_delta(triv)))
                 ce2 += 1
             if d2 < 50:
-                ch = _rand_labeled(rng, n, rng.randint(2, n + 1), rng.randint(1, 2))
+                ch = rand_labeled_chain(rng, n, rng.randint(2, n + 1), rng.randint(1, 2))
                 assert chain_is_zero(n_partial(n_partial(ch)))
                 d2 += 1
             if h2 < 50:
-                ch = _rand_labeled(rng, n, rng.randint(0, n - 1), rng.randint(1, 2))
+                ch = rand_labeled_chain(rng, n, rng.randint(0, n - 1), rng.randint(1, 2))
                 assert chain_is_zero(homotopy_H(homotopy_H(ch)))
                 h2 += 1
             if hom < 50:
                 level = rng.randint(0, n + 1)
-                ch = _rand_labeled(rng, n, level, rng.randint(1, 2))
+                ch = rand_labeled_chain(rng, n, level, rng.randint(1, 2))
                 acc = None
                 if level <= n:
                     acc = n_partial(homotopy_H(ch))
@@ -188,23 +165,13 @@ def test_criterion_05_homological_identities():
                 cmap += 1
 
 
-def _dense_trace(x):
-    entries = {}
-    for coeff, shift, window in x.terms:
-        ranges = [range(lo, hi) for lo, hi in window]
-        for lam in product(*ranges):
-            target = tuple(a + b for a, b in zip(lam, shift))
-            entries[(target, lam)] = entries.get((target, lam), Fraction(0)) + coeff
-    return sum((v for (i, j), v in entries.items() if i == j), Fraction(0))
-
-
 def test_criterion_06_trace_axioms():
     with _Clock(6, "T1 dense, T3 shifts, T5 cyclic"):
         rng = random.Random(9005)
         for n in (1, 2):
             for _ in range(50):
                 x = rand_operator(rng, n, terms=3, finite=True)
-                assert tate_trace(x) == _dense_trace(x)
+                assert tate_trace(x) == dense_trace(x)
                 y = rand_operator(rng, n, terms=2, finite=True)
                 assert tate_trace(x @ y) == tate_trace(y @ x)
                 z = rand_strict_shift_operator(rng, n)
@@ -249,7 +216,7 @@ def test_criterion_10_invariance():
                 base = phi_hh_closed(cycle)
                 for m in range(-3, 4):
                     idem = GoodIdempotents(n, QQ, thresholds=(m,) * n)
-                    assert phi_hh_closed(cycle, None, idem) == base
+                    assert phi_hh_closed(cycle, idempotents=idem) == base
         passed = 0
         while passed < 50:
             f = rand_laurent(rng, 1, terms=3, exp_bound=4)

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from resym import (CubicalStructure, DifferentialForm, GoodIdempotents,
-                   HochschildChain, LabeledChain, LaurentPoly, LieChain,
-                   MembershipError, NotACycle, QQ, WindowedOperator, ce_delta,
+from resym import (DifferentialForm, GoodIdempotents, HochschildChain,
+                   LabeledChain, LaurentPoly, LieChain, MembershipError,
+                   NotACycle, QQ, WindowedOperator, ce_delta,
                    ce_delta_coefficients, chain_is_zero, chains_equal,
                    commutator_formula, cyclic_t, epsilon, hkr_antisymmetrize,
-                   hochschild_b, homotopy_H, i_prime, labels_of_degree,
-                   lambda_toeplitz, mul_op, n_partial, phi_c, phi_hh_closed,
-                   phi_hh_zigzag, projector, psi, tate_trace)
+                   hochschild_b, homotopy_H, i_prime, lambda_toeplitz, mul_op,
+                   n_partial, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
+                   psi, tate_trace)
 from resym.verify import (rand_commuting_lie_chain, rand_cycle, rand_fraction,
-                          rand_hochschild_chain, rand_laurent, rand_lie_chain,
-                          rand_monomial, rand_operator)
+                          rand_hochschild_chain, rand_labeled_chain,
+                          rand_laurent, rand_lie_chain, rand_monomial,
+                          rand_operator)
 
 
 def t(dim=1, axis=1):
@@ -26,31 +27,6 @@ def tpow(i, dim=1, axis=1):
     exps = [0] * dim
     exps[axis - 1] = i
     return LaurentPoly.monomial(dim, exps)
-
-
-def rand_labeled_chain(rng, dim, level, degree):
-    data = []
-    for _ in range(2):
-        if level == 0:
-            label = None
-            m = rand_operator(rng, dim)
-        else:
-            label = rng.choice(labels_of_degree(dim, level))
-            window = []
-            for s in label:
-                if s == "+":
-                    window.append((rng.randint(-2, 0), None))
-                elif s == "-":
-                    window.append((None, rng.randint(0, 2)))
-                else:
-                    window.append((rng.randint(-2, 0), rng.randint(1, 3)))
-            m = WindowedOperator.single(dim, 1, (0,) * dim, tuple(window)) \
-                @ rand_operator(rng, dim)
-        if m.is_zero():
-            continue
-        tensor = (m,) + tuple(rand_operator(rng, dim) for _ in range(degree))
-        data.append(((label, tensor), rand_fraction(rng, nonzero=True)))
-    return LabeledChain(dim, QQ, level, degree, data)
 
 
 # -- Hochschild differential --------------------------------------------------
@@ -79,6 +55,27 @@ def test_b_kills_hkr_of_commuting_entries():
         form = DifferentialForm(rand_laurent(rng, n),
                                 [rand_laurent(rng, n) for _ in range(n)])
         assert chain_is_zero(hochschild_b(hkr_antisymmetrize(form)))
+
+
+def _split_chain(a, b, c, y):
+    """a (x) y + b (x) y - c (x) y."""
+    return HochschildChain(3, QQ, 1, [((a, y), 1), ((b, y), 1), ((c, y), -1)])
+
+
+def test_chain_is_zero_resolves_projector_splitting_n3():
+    # P_i^+ x (x) y + P_i^- x (x) y - x (x) y has three distinct tensors and
+    # vanishes only through the linear relation P_i^+ x + P_i^- x = x; a
+    # doubled coefficient or a moved shift in one slot must not cancel
+    rng = random.Random(103)
+    for _ in range(5):
+        x, y = rand_operator(rng, 3, terms=3), rand_operator(rng, 3, terms=3)
+        for axis in (1, 2, 3):
+            plus, minus = projector(3, axis, "+") @ x, projector(3, axis, "-") @ x
+            moved = mul_op(tpow(1, 3, axis)) @ x
+            assert chain_is_zero(_split_chain(plus, minus, x, y))
+            assert not chain_is_zero(_split_chain(plus, minus, moved, y))
+            if not plus.is_zero():
+                assert not chain_is_zero(_split_chain(plus.scale(2), minus, x, y))
 
 
 # -- Chevalley-Eilenberg ------------------------------------------------------
@@ -401,4 +398,4 @@ def test_idempotent_shift_invariance():
             base = phi_hh_closed(cycle)
             for m in range(-3, 4):
                 idem = GoodIdempotents(n, QQ, thresholds=(m,) * n)
-                assert phi_hh_closed(cycle, None, idem) == base
+                assert phi_hh_closed(cycle, idempotents=idem) == base

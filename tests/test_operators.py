@@ -8,8 +8,8 @@ import pytest
 from resym import (LaurentPoly, NotProvablyFinitePotent, WindowedOperator,
                    ideal_member, in_trace_ideal, is_finite_rank, mul_op,
                    projector, tate_trace)
-from resym.verify import (rand_fraction, rand_laurent, rand_operator,
-                          rand_strict_shift_operator)
+from resym.verify import (dense_trace, rand_fraction, rand_laurent,
+                          rand_operator, rand_strict_shift_operator)
 
 
 def t(dim=1, axis=1):
@@ -138,31 +138,12 @@ def test_trace_diagonal_box():
     assert tate_trace(op) == 9 * beta
 
 
-def _dense_trace(x):
-    seen = {}
-    for coeff, shift, window in x.terms:
-        los = [w[0] for w in window]
-        his = [w[1] for w in window]
-        points = [range(lo, hi) for lo, hi in zip(los, his)]
-
-        def walk(prefix, rest):
-            if not rest:
-                lam = tuple(prefix)
-                target = tuple(a + b for a, b in zip(lam, shift))
-                seen[(target, lam)] = seen.get((target, lam), Fraction(0)) + coeff
-                return
-            for v in rest[0]:
-                walk(prefix + [v], rest[1:])
-        walk([], points)
-    return sum((v for (i, j), v in seen.items() if i == j), Fraction(0))
-
-
 def test_trace_matches_dense_matrix_fuzz():
     rng = random.Random(8)
     for n in (1, 2):
         for _ in range(25):
             x = rand_operator(rng, n, terms=3, finite=True)
-            assert tate_trace(x) == _dense_trace(x)
+            assert tate_trace(x) == dense_trace(x)
 
 
 def test_trace_nilpotent_shift_class():
@@ -254,21 +235,62 @@ def _probe_box(ops, margin=2):
     return axes
 
 
+def _recut(rng, terms):
+    """The same map as a term list, with every window cut in two along a
+    random axis, so each shift carries several boxes."""
+    out = []
+    for coeff, shift, window in terms:
+        axis = rng.randrange(len(window))
+        cut = rng.randint(-3, 4)
+        lo, hi = window[axis]
+        for piece in ((lo, cut if hi is None else min(hi, cut)),
+                      (cut if lo is None else max(lo, cut), hi)):
+            out.append((coeff, shift, window[:axis] + (piece,) + window[axis + 1:]))
+    return out
+
+
+def _raw_apply(dim, terms, exps):
+    """Action of an uncanonicalized term list on the monomial t^exps."""
+    return LaurentPoly(dim, coeffs=[
+        (tuple(e + s for e, s in zip(exps, shift)), coeff)
+        for coeff, shift, window in terms
+        if all((lo is None or e >= lo) and (hi is None or e < hi)
+               for e, (lo, hi) in zip(exps, window))])
+
+
 def test_equality_matches_action_on_probe_box():
-    # independent oracle for the canonical form: two operators are equal
-    # exactly when they act identically on a box covering all breakpoints
+    # independent oracle for the canonical form: an operator acts as the
+    # terms it was built from, and two operators are equal exactly when they
+    # act identically on a box covering all breakpoints
     from itertools import product as iproduct
     rng = random.Random(14)
-    for n in (1, 2):
-        for _ in range(25):
+    cuts = random.Random(114)
+    for n in (1, 2, 3):
+        for _ in range(25 if n < 3 else 10):
             x = rand_operator(rng, n, terms=3)
             y = rand_operator(rng, n, terms=3)
-            same_struct = (x == y)
-            axes = _probe_box([x, y])
-            same_action = all(
-                x.apply(LaurentPoly.monomial(n, exps)) == y.apply(LaurentPoly.monomial(n, exps))
-                for exps in iproduct(*axes))
-            assert same_struct == same_action
+            # re-presentations of x with several boxes per shift: recut
+            # pieces, an extra box cancelled by its own recut negation, and
+            # an extra box left standing
+            _, shift, _ = x.terms[0]
+            extra = [(c, shift, w) for c, _, w in rand_operator(cuts, n).terms[:1]]
+            cancel = [(-c, s, w) for c, s, w in _recut(cuts, extra)]
+            presentations = [_recut(cuts, x.terms),
+                             _recut(cuts, x.terms) + extra + cancel,
+                             _recut(cuts, x.terms) + extra]
+            others = [WindowedOperator(n, terms=raw) for raw in presentations]
+            assert others[0] == x and others[1] == x
+            axes = _probe_box([x, y] + others)
+            for raw, op in zip(presentations, others):
+                assert all(op.apply(LaurentPoly.monomial(n, exps)) == _raw_apply(n, raw, exps)
+                           for exps in iproduct(*axes))
+            for other in [y] + others:
+                same_struct = (x == other)
+                same_action = all(
+                    x.apply(LaurentPoly.monomial(n, exps))
+                    == other.apply(LaurentPoly.monomial(n, exps))
+                    for exps in iproduct(*axes))
+                assert same_struct == same_action
 
 
 def test_compose_matches_pointwise_action():
