@@ -27,7 +27,7 @@ from .operators import (GoodIdempotents, WindowedOperator, ideal_member,
                         operator_from_json, projector, tate_trace)
 from .parser import (parse_expression, parse_extension_modulus, parse_form,
                      parse_laurent, parse_rational_function, parse_scalar,
-                     render_form, render_laurent, render_rational_function)
+                     render_form, render_laurent)
 from .polynomials import PolyQ, factor_monic, is_irreducible
 from .residue import (Place, RationalFunction, coordinate_invariance_check_1d,
                       expand_at_place, global_residue_sum,

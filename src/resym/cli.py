@@ -15,8 +15,7 @@ import sys
 
 from .errors import ResymError
 from .operators import operator_from_json, tate_trace
-from .parser import (parse_extension_modulus, parse_form,
-                     parse_rational_function, render_rational_function)
+from .parser import parse_extension_modulus, parse_form, parse_rational_function
 from .residue import (Place, expand_at_place, global_residue_sum,
                       nodal_factorization_check, residue_form)
 from .scalars import QQ, ExtensionField, render_scalar
@@ -130,11 +129,15 @@ def run_batch(path: str) -> int:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            obj = None
             try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("a batch line must be a JSON object")
                 _emit(_batch_task(obj))
             except (ResymError, ValueError, KeyError, ZeroDivisionError) as exc:
-                failed = dict(obj)
+                # json.JSONDecodeError is a ValueError: the batch goes on.
+                failed = dict(obj) if isinstance(obj, dict) else {}
                 failed["error"] = str(exc)
                 _emit(failed)
                 status = 1

@@ -301,25 +301,30 @@ class TruncatedSeries:
             {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.coeffs.items()})
 
     def unit_inverse(self) -> "TruncatedSeries":
-        """Inverse of a series with valuation 0 and invertible constant term."""
-        c0 = self.coeffs.get((0,) * self.dim)
-        if self.valuation() != 0 or not c0:
+        """Inverse of a one-variable series with valuation 0 and invertible
+        constant term, certified to the same order.
+
+        The coefficients follow from g * b = 1 term by term:
+        b_0 = 1/g_0 and b_k = -b_0 * sum_{j>=1} g_j b_{k-j}.
+        """
+        if self.dim != 1:
+            raise DimensionMismatch("unit_inverse is implemented for n=1 series")
+        g0 = self.coeffs.get((0,))
+        if self.valuation() != 0 or not g0:
             raise ValuationError("unit_inverse requires valuation exactly 0")
-        if self.order > 10 ** 6 and len(self.coeffs) > 1:
+        tail = sorted((e, c) for (e,), c in self.coeffs.items() if e)
+        if self.order > 10 ** 6 and tail:
             raise PrecisionError("refusing to invert a non-constant unit at unbounded order")
-        inv0 = 1 / c0 if not hasattr(c0, "inverse") else c0.inverse()
-        # g = c0*(1 - h) with val(h) >= 1; invert by the finite geometric sum.
-        h = TruncatedSeries(self.dim, self.order, self.field,
-                            {e: -(inv0 * c) for e, c in self.coeffs.items()
-                             if any(x != 0 for x in e)})
-        result = TruncatedSeries(self.dim, self.order, self.field, {(0,) * self.dim: 1})
-        power = result
-        for _ in range(max(0, self.order - 1)):
-            power = power * h
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(inv0)
+        b0 = 1 / g0 if not hasattr(g0, "inverse") else g0.inverse()
+        b = [b0]
+        for k in range(1, self.order if tail else 1):
+            acc = self.field.zero
+            for j, c in tail:
+                if j > k:
+                    break
+                acc = acc + c * b[k - j]
+            b.append(-b0 * acc)
+        return TruncatedSeries(1, self.order, self.field, {(k,): c for k, c in enumerate(b)})
 
     def power(self, k: int) -> "TruncatedSeries":
         # Plain repeated multiplication keeps the certified order tight
@@ -392,8 +397,8 @@ def binomial_series(alpha, order: int) -> TruncatedSeries:
 def substitute_1d(f: LaurentPoly, u: TruncatedSeries, order: int) -> TruncatedSeries:
     """Evaluate f(u(t)) for a one-variable Laurent polynomial f.
 
-    `u` must have valuation exactly 1; negative powers of u go through exact
-    geometric inversion of its unit part.  The result is certified to
+    `u` must have valuation exactly 1; negative powers of u go through the
+    exact inverse of its unit part.  The result is certified to
     `order`; if the inputs cannot support that, PrecisionError is raised
     instead of returning silently truncated coefficients.
 

@@ -328,13 +328,16 @@ def operator_from_json(data, dim: int, field=QQ) -> WindowedOperator:
     """Inverse of WindowedOperator.to_json_obj; coefficients via the parser."""
     from .parser import parse_scalar
     terms = []
-    for entry in data:
-        coeff = parse_scalar(str(entry["coeff"]), field)
-        shift = tuple(entry["shift"])
-        window = tuple(
-            (None if lo in ("-inf", None) else int(lo), None if hi in ("inf", None) else int(hi))
-            for lo, hi in entry["window"])
-        terms.append((coeff, shift, window))
+    try:
+        for entry in data:
+            coeff = parse_scalar(str(entry["coeff"]), field)
+            shift = tuple(entry["shift"])
+            window = tuple(
+                (None if lo in ("-inf", None) else int(lo), None if hi in ("inf", None) else int(hi))
+                for lo, hi in entry["window"])
+            terms.append((coeff, shift, window))
+    except TypeError as exc:
+        raise ValueError(f"operator JSON must be a list of coeff/shift/window objects ({exc})") from exc
     return WindowedOperator(dim, field, terms)
 
 

@@ -263,13 +263,9 @@ class _Parser:
         if self.peek().kind == "^":
             self.next()
             k = self.signed_int()
-            one = RationalFunction(PolyQ.one())
-            out = one
-            for _ in range(abs(k)):
-                out = out * base
-            if k < 0:
-                out = one / out
-            base = out
+            # num and den are coprime, so their powers are too.
+            num, den = base.num ** abs(k), base.den ** abs(k)
+            base = RationalFunction(num, den) if k >= 0 else RationalFunction(den, num)
         return base
 
     def rf_atom(self) -> RationalFunction:
@@ -430,9 +426,3 @@ def render_form(form: DifferentialForm) -> str:
     f0 = render_laurent(form.f0)
     return f"{f0} {blocks}" if f0 != "1" else blocks
 
-
-def render_rational_function(rf: RationalFunction) -> str:
-    num = rf.num.render()
-    if rf.den == PolyQ.one():
-        return num
-    return f"({num})/({rf.den.render()})"

@@ -316,21 +316,14 @@ def _quartic_quadratic_split(p: PolyQ):
 
 
 def is_irreducible(p: PolyQ) -> bool:
-    """Trial-factoring irreducibility test for monic polynomials of degree <= 4."""
+    """Irreducibility test for monic polynomials of degree <= 4."""
     if not p.is_monic():
         raise ValueError("irreducibility test expects a monic polynomial")
-    d = p.degree
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if d > 4:
-        raise UnsupportedFactorization(f"degree {d} exceeds the supported bound 4")
-    if rational_roots(p):
-        return False
-    if d in (2, 3):
-        return True
-    return _quartic_quadratic_split(p) is None
+    if p.degree > 4:
+        raise UnsupportedFactorization(f"degree {p.degree} exceeds the supported bound 4")
+    if p.degree <= 1:
+        return p.degree == 1
+    return factor_monic(p) == [(p, 1)]
 
 
 def factor_monic(p: PolyQ):

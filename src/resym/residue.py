@@ -180,50 +180,32 @@ def expand_at_place(r: RationalFunction, place: Place, order: int):
     residue field Q[x]/(p); at infinity it is u = 1/t.  Coefficients are
     exact; `order` is the certification bound of the result.
     """
-    if r.den.is_zero():
-        raise ZeroDivisionError("zero denominator")
     if order < 0:
         raise PrecisionError("order must be >= 0 to expose the principal part")
-    if r.num.is_zero():
-        if place.is_infinite or place.poly.degree == 1:
-            return QQ, TruncatedSeries(1, order, QQ)
-        field = ExtensionField(place.poly)
-        return field, TruncatedSeries(1, order, field)
-
+    # A place fixes the field, the coefficients of numerator and denominator
+    # in its parameter u, and the power of u those coefficient lists carry.
     if place.is_infinite:
-        delta = r.den.degree - r.num.degree
-        working = max(order - delta, 1) + 1
-        num_rev = TruncatedSeries(1, working, QQ,
-                                  {(k,): c for k, c in enumerate(r.num.reversed_coeffs().coeffs)})
-        den_rev = TruncatedSeries(1, working, QQ,
-                                  {(k,): c for k, c in enumerate(r.den.reversed_coeffs().coeffs)})
-        series = (num_rev * den_rev.unit_inverse()).shift_exponents((delta,))
-        if series.order < order:
-            raise PrecisionError("infinite-place expansion fell short of the requested order")
-        return QQ, series.truncate(order)
-
-    p = place.poly
-    if p.degree == 1:
         field = QQ
-        alpha = -p.coefficient(0)
-        one = Fraction(1)
+        num = r.num.reversed_coeffs().coeffs
+        den = r.den.reversed_coeffs().coeffs
+        shift = r.den.degree - r.num.degree
     else:
-        field = ExtensionField(p)
-        alpha = field.generator
-        one = field.one
-    num_shift = shifted_coefficients(r.num, alpha, one)
-    den_shift = shifted_coefficients(r.den, alpha, one)
-    m = 0
-    while m < len(den_shift) and not den_shift[m]:
-        m += 1
-    if m >= len(den_shift):
+        if place.poly.degree == 1:
+            field, alpha = QQ, -place.poly.coefficient(0)
+        else:
+            field = ExtensionField(place.poly)
+            alpha = field.generator
+        num = shifted_coefficients(r.num, alpha, field.one)
+        den = shifted_coefficients(r.den, alpha, field.one)
+        shift = 0
+    m = next((k for k, c in enumerate(den) if c), None)
+    if m is None:
         raise ZeroDivisionError("denominator vanished identically after shifting")
-    working = order + m + 1
+    working = max(order - shift + m, 0) + 1
     unit = TruncatedSeries(1, working, field,
-                           {(k - m,): c for k, c in enumerate(den_shift) if k >= m})
-    num_series = TruncatedSeries(1, working, field,
-                                 {(k,): c for k, c in enumerate(num_shift)})
-    series = (num_series * unit.unit_inverse()).shift_exponents((-m,))
+                           {(k - m,): c for k, c in enumerate(den) if k >= m})
+    num_series = TruncatedSeries(1, working, field, {(k,): c for k, c in enumerate(num)})
+    series = (num_series * unit.unit_inverse()).shift_exponents((shift - m,))
     if series.order < order:
         raise PrecisionError("local expansion fell short of the requested order")
     return field, series.truncate(order)

@@ -19,14 +19,9 @@ class RationalField:
 
     degree = 1
     symbol = None
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    # Fractions are immutable, so one shared value of each is safe.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, ExtElem):

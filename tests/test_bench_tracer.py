@@ -1,0 +1,49 @@
+"""The benchmark tracer's bindings still exist in the library.
+
+`bench/run.py --trace 1` patches the names listed in `bench/tracer.py`;
+a rename in `src/resym/` would make that run fail or miss a span.  This
+test installs and uninstalls the tracer without running a workload.
+"""
+
+from __future__ import annotations
+
+import importlib
+import types
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    # exec the source so no bytecode cache is written under bench/
+    module = types.ModuleType("resym_bench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_bindings_resolve_and_restore():
+    tracer = load_tracer()
+    tables = {**tracer.SPANS, **tracer.COUNTS}
+    names = {module for sites in tables.values() for module, _ in sites}
+    modules = {name: importlib.import_module(f"resym.{name}") for name in names}
+
+    originals = {}
+    for name, sites in tables.items():
+        for module, path in sites:
+            owner, attr = tracer._owner(modules, module, path)
+            assert attr in owner.__dict__, f"{name}: {module}.{path} is not bound there"
+            originals[(module, path)] = (owner, attr, owner.__dict__[attr])
+        # every alias must be the object the tracer wraps for the first site
+        first = originals[(sites[0][0], sites[0][1])][2]
+        for module, path in sites[1:]:
+            assert originals[(module, path)][2] is first, f"{name}: {module}.{path} differs"
+
+    t = tracer.Tracer(modules)
+    try:
+        t.install()
+        for owner, attr, original in originals.values():
+            assert owner.__dict__[attr] is not original, f"{attr} was not patched"
+    finally:
+        t.uninstall()
+    for owner, attr, original in originals.values():
+        assert owner.__dict__[attr] is original, f"{attr} was not restored"

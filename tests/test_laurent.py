@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from resym import (DifferentialForm, LaurentPoly, PrecisionError,
-                   TruncatedSeries, ValuationError, binomial_series,
-                   chain_is_zero, hkr_antisymmetrize, hochschild_b,
-                   substitute_1d)
+from resym import (DifferentialForm, DimensionMismatch, ExtensionField,
+                   LaurentPoly, PolyQ, PrecisionError, TruncatedSeries,
+                   ValuationError, binomial_series, chain_is_zero,
+                   hkr_antisymmetrize, hochschild_b, substitute_1d)
+from resym.laurent import EXACT_ORDER
+from resym.scalars import QQ
 from resym.verify import rand_fraction, rand_laurent
 
 
@@ -56,6 +59,42 @@ def test_binomial_product_rule_fuzz():
         lhs = binomial_series(a, order) * binomial_series(b, order)
         rhs = binomial_series(a + b, order)
         assert lhs.truncate(order) == rhs
+
+
+def test_unit_inverse_multiplies_back_fuzz():
+    rng = random.Random(407)
+    gauss = ExtensionField(PolyQ((1, 0, 1)))
+    for field in (QQ, gauss):
+        for _ in range(25):
+            order = rng.randint(1, 14)
+            coeffs = {(e,): rand_fraction(rng) for e in range(1, order) if rng.random() < 0.6}
+            g0 = rand_fraction(rng) or Fraction(1)
+            if field is gauss:
+                coeffs = {e: c + gauss.generator * rand_fraction(rng)
+                          for e, c in coeffs.items()}
+                g0 = g0 + gauss.generator * rng.randint(-2, 2)
+            coeffs[(0,)] = g0
+            g = TruncatedSeries(1, order, field, coeffs)
+            inv = g.unit_inverse()
+            assert inv.order == order
+            assert g * inv == TruncatedSeries(1, order, field, {(0,): 1})
+
+
+def test_unit_inverse_of_constant_at_exact_order_is_immediate():
+    start = time.perf_counter()
+    inv = TruncatedSeries(1, EXACT_ORDER, QQ, {(0,): Fraction(-2, 3)}).unit_inverse()
+    assert time.perf_counter() - start < 1.0
+    assert inv == TruncatedSeries(1, EXACT_ORDER, QQ, {(0,): Fraction(-3, 2)})
+
+
+def test_unit_inverse_refusals():
+    with pytest.raises(PrecisionError):
+        TruncatedSeries(1, 10 ** 6 + 1, QQ, {(0,): 1, (1,): 1}).unit_inverse()
+    for coeffs in ({(1,): 1}, {(0,): 1, (-1,): 1}, {}):
+        with pytest.raises(ValuationError):
+            TruncatedSeries(1, 5, QQ, coeffs).unit_inverse()
+    with pytest.raises(DimensionMismatch):
+        TruncatedSeries(2, 5, QQ, {(0, 0): 1, (1, 0): 1}).unit_inverse()
 
 
 def test_substitute_principal_part():

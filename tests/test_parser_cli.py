@@ -8,8 +8,7 @@ import pytest
 from resym import (DifferentialForm, ExtensionField, LaurentPoly, ParseError,
                    PolyQ, RationalFunction, parse_expression,
                    parse_extension_modulus, parse_form, parse_laurent,
-                   parse_rational_function, render_form, render_laurent,
-                   render_rational_function)
+                   parse_rational_function, render_form, render_laurent)
 from resym.cli import main
 from resym.verify import rand_laurent, rand_rational_function
 
@@ -23,6 +22,18 @@ def test_parse_form_example():
 def test_parse_rational_function_example():
     rf = parse_rational_function("1/(t^2+1)")
     assert rf == RationalFunction(PolyQ.one(), PolyQ((1, 0, 1)))
+
+
+def test_rational_powers_match_written_out_products():
+    assert parse_rational_function("(t+1)^-12") == \
+        parse_rational_function("1/(" + "*".join(["(t+1)"] * 12) + ")")
+    assert parse_rational_function("(t/2)^-3") == parse_rational_function("1/((t/2)*(t/2)*(t/2))")
+    assert parse_rational_function("(t/2)^-3") == RationalFunction(PolyQ.constant(8), PolyQ((0, 0, 0, 1)))
+    assert parse_rational_function("((t^2+1)/(t-3))^3") == \
+        parse_rational_function("(t^2+1)*(t^2+1)*(t^2+1)/((t-3)*(t-3)*(t-3))")
+    assert parse_rational_function("(t-1)^0") == RationalFunction(PolyQ.one())
+    with pytest.raises(ZeroDivisionError):
+        parse_rational_function("0^-1")
 
 
 def test_parse_error_offset():
@@ -61,7 +72,7 @@ def test_roundtrip_corpus():
             count += 1
     for _ in range(10):
         rf = rand_rational_function(rng)
-        assert parse_rational_function(render_rational_function(rf)) == rf
+        assert parse_rational_function(rf.render()) == rf
         count += 1
     for _ in range(10):
         dim = rng.choice([1, 2])
@@ -109,6 +120,11 @@ def test_cli_trace(capsys):
     op = [{"coeff": "3/2", "shift": [0], "window": [[0, 4]]}]
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(op))
     assert code == 0 and payload == {"value": "6"}
+
+
+def test_cli_trace_malformed_operator_is_error(capsys):
+    code, (payload,) = run_cli(capsys, "trace", "--n", "1", "null")
+    assert code == 1 and "error" in payload
 
 
 def test_cli_trace_refusal(capsys):
@@ -185,3 +201,15 @@ def test_cli_batch_error_line(tmp_path, capsys):
                     encoding="utf-8")
     code, payloads = run_cli(capsys, "--json-lines", str(path))
     assert code == 1 and "error" in payloads[0]
+
+
+def test_cli_batch_line_not_json_keeps_going(tmp_path, capsys):
+    lines = [json.dumps({"op": "res", "form": "t^-1 d(t)", "n": 1}),
+             "{not json",
+             json.dumps({"op": "res", "form": "t^-2 d(t)", "n": 1})]
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code, payloads = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1
+    assert [p.get("result") for p in payloads] == ["1", None, "0"]
+    assert set(payloads[1]) == {"error"}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,15 @@ def test_expand_simple_pole():
     assert field == QQ
     assert series.coefficient((-1,)) == 1
     assert series.coefficient((0,)) == 0
+
+
+def test_expand_high_order_is_exact_and_quick():
+    r = RationalFunction(PolyQ.one(), PolyQ((-1, 1)))  # 1/(t-1) = -sum t^k at t
+    start = time.perf_counter()
+    field, series = expand_at_place(r, Place.finite(PolyQ((0, 1))), 20000)
+    assert time.perf_counter() - start < 5.0
+    assert field == QQ and series.order == 20000
+    assert series.coeffs == {(k,): -1 for k in range(20000)}
 
 
 def test_expand_quadratic_place_trace_zero():
