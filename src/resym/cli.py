@@ -2,9 +2,10 @@
 
 Subcommands dispatch into the library and print one JSON object on stdout;
 every scalar in the output is exact, rendered as a string.  Any library
-error becomes {"error": ...} with a nonzero exit code.  `--json-lines FILE`
+error becomes {"error": message, "kind": exception class name} (plus the
+"offset" of a parse error) with a nonzero exit code.  `--json-lines FILE`
 runs a batch of tasks, one JSON object per line, echoing each input object
-back with its result attached.
+back with its result attached; an error there also names its 1-based "line".
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import ResymError
+from .errors import ParseError, ResymError
 from .operators import operator_from_json, tate_trace
 from .parser import parse_extension_modulus, parse_form, parse_rational_function
 from .residue import (Place, expand_at_place, global_residue_sum,
@@ -31,6 +32,13 @@ def _field_from_ext(ext: str | None):
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
+
+
+def _error_payload(exc: Exception) -> dict:
+    payload = {"error": str(exc), "kind": type(exc).__name__}
+    if isinstance(exc, ParseError):
+        payload["offset"] = exc.offset
+    return payload
 
 
 def _place_from_text(text: str) -> Place:
@@ -125,7 +133,7 @@ def _batch_task(obj: dict) -> dict:
 def run_batch(path: str) -> int:
     status = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -138,7 +146,7 @@ def run_batch(path: str) -> int:
             except (ResymError, ValueError, KeyError, ZeroDivisionError) as exc:
                 # json.JSONDecodeError is a ValueError: the batch goes on.
                 failed = dict(obj) if isinstance(obj, dict) else {}
-                failed["error"] = str(exc)
+                failed.update(_error_payload(exc), line=number)
                 _emit(failed)
                 status = 1
     return status
@@ -200,7 +208,7 @@ def main(argv=None) -> int:
         result = args.fn(args)
     except (ResymError, ValueError, KeyError, ZeroDivisionError, OSError,
             json.JSONDecodeError) as exc:
-        _emit({"error": str(exc)})
+        _emit(_error_payload(exc))
         return 1
     _emit(result)
     if args.fn is cmd_verify:

@@ -32,46 +32,19 @@ MINUS = "-"
 FULL_AXIS = (None, None)
 
 
-def _axis_is_empty(w) -> bool:
-    lo, hi = w
-    return lo is not None and hi is not None and lo >= hi
-
-
-def _axis_intersect(a, b):
-    lo = a[0] if b[0] is None else (b[0] if a[0] is None else max(a[0], b[0]))
-    hi = a[1] if b[1] is None else (b[1] if a[1] is None else min(a[1], b[1]))
-    return (lo, hi)
-
-
-def _axis_translate(w, d: int):
-    lo, hi = w
-    return (None if lo is None else lo + d, None if hi is None else hi + d)
-
-
-def _axis_contains(w, x: int) -> bool:
-    lo, hi = w
-    return (lo is None or x >= lo) and (hi is None or x < hi)
-
-
-def _window_intersect(wa, wb):
-    return tuple(_axis_intersect(a, b) for a, b in zip(wa, wb))
-
-
 def _window_is_empty(win) -> bool:
-    return any(_axis_is_empty(w) for w in win)
-
-
-def _window_translate(win, shift):
-    return tuple(_axis_translate(w, d) for w, d in zip(win, shift))
+    return any(lo is not None and hi is not None and lo >= hi for lo, hi in win)
 
 
 def _window_contains(win, point) -> bool:
-    return all(_axis_contains(w, x) for w, x in zip(win, point))
+    return all((lo is None or x >= lo) and (hi is None or x < hi)
+               for (lo, hi), x in zip(win, point))
 
 
-def _axis_key(w):
-    lo, hi = w
-    return ((0, 0) if lo is None else (1, lo), (0, hi) if hi is not None else (1, 0))
+def _window_key(win):
+    """Sort key for windows: an infinite end sorts below every finite one."""
+    return tuple(((0, 0) if lo is None else (1, lo), (0, hi) if hi is not None else (1, 0))
+                 for lo, hi in win)
 
 
 def _breakpoint_grid(dim: int, windows):
@@ -169,7 +142,8 @@ def grid_coordinates(ops):
 class WindowedOperator:
     """Finite sum of windowed shift terms, kept in canonical form."""
 
-    __slots__ = ("dim", "field", "terms")
+    # terms is set only in __init__, so the hash is computed once, when first asked
+    __slots__ = ("dim", "field", "terms", "_hash")
 
     def __init__(self, dim: int, field=QQ, terms=()):
         self.dim = dim
@@ -187,10 +161,11 @@ class WindowedOperator:
             by_shift.setdefault(shift, []).append((coeff, window))
         canon = []
         for shift in sorted(by_shift):
-            for cell, value in _grid_normal_form(dim, by_shift[shift]).items():
-                canon.append((value, shift, cell))
-        canon.sort(key=lambda t: (t[1], tuple(_axis_key(w) for w in t[2])))
+            cells = _grid_normal_form(dim, by_shift[shift])
+            order = sorted(cells, key=_window_key) if len(cells) > 1 else cells
+            canon.extend((cells[cell], shift, cell) for cell in order)
         self.terms = tuple(canon)
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -219,10 +194,13 @@ class WindowedOperator:
                 and self.field == other.field and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.dim, self.terms))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.dim, self.terms))
+        return h
 
     def sort_key(self):
-        return tuple((shift, tuple(_axis_key(w) for w in win), scalar_key(coeff))
+        return tuple((shift, _window_key(win), scalar_key(coeff))
                      for coeff, shift, win in self.terms)
 
     def _check(self, other: "WindowedOperator"):
@@ -255,10 +233,19 @@ class WindowedOperator:
         terms = []
         for cx, sx, wx in self.terms:
             for cy, sy, wy in other.terms:
-                window = _window_intersect(wy, _window_translate(wx, tuple(-d for d in sy)))
-                if _window_is_empty(window):
-                    continue
-                terms.append((cx * cy, tuple(a + b for a, b in zip(sx, sy)), window))
+                # pull wx back along sy and meet it with wy, one axis at a
+                # time; the first empty axis empties the product term
+                window = []
+                for (lo, hi), (xlo, xhi), d in zip(wy, wx, sy):
+                    if xlo is not None and (lo is None or xlo - d > lo):
+                        lo = xlo - d
+                    if xhi is not None and (hi is None or xhi - d < hi):
+                        hi = xhi - d
+                    if lo is not None and hi is not None and lo >= hi:
+                        break
+                    window.append((lo, hi))
+                else:
+                    terms.append((cx * cy, tuple(a + b for a, b in zip(sx, sy)), tuple(window)))
         return WindowedOperator(self.dim, self.field, terms)
 
     __matmul__ = compose

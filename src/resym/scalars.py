@@ -24,6 +24,8 @@ class RationalField:
     one = Fraction(1)
 
     def coerce(self, value):
+        if type(value) is Fraction:
+            return value
         if isinstance(value, ExtElem):
             raise FieldMismatch("extension element used where a rational is required")
         return Fraction(value)

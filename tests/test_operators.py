@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from resym import (LaurentPoly, NotProvablyFinitePotent, WindowedOperator,
-                   ideal_member, in_trace_ideal, is_finite_rank, mul_op,
-                   projector, tate_trace)
+from resym import (QQ, ExtensionField, LaurentPoly, NotProvablyFinitePotent,
+                   PolyQ, WindowedOperator, ideal_member, in_trace_ideal,
+                   is_finite_rank, mul_op, projector, tate_trace)
 from resym.verify import (dense_trace, rand_fraction, rand_laurent,
                           rand_operator, rand_strict_shift_operator)
 
@@ -309,3 +310,89 @@ def test_compose_associative():
         for _ in range(20):
             x, y, z = (rand_operator(rng, n) for _ in range(3))
             assert (x @ y) @ z == x @ (y @ z)
+
+
+# -- operator laws as properties -------------------------------------------
+# Operators over Q and Q[x]/(x^2+1) in n = 1..3, drawn from raw term lists
+# whose window ends may be None and whose windows may be empty; small ends
+# and shifts make empty pullbacks in compose common.
+
+GAUSS = ExtensionField(PolyQ((1, 0, 1)))
+LAWS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _scalars(field):
+    small = st.integers(-3, 3)
+    if field == QQ:
+        return st.builds(Fraction, small, st.integers(1, 3))
+    return st.builds(lambda a, b: field.element((a, b)), small, small)
+
+
+def _raw_terms(dim, field, max_size=3):
+    end = st.one_of(st.none(), st.integers(-3, 4))
+    return st.lists(st.tuples(_scalars(field),
+                              st.tuples(*[st.integers(-2, 2)] * dim),
+                              st.tuples(*[st.tuples(end, end)] * dim)),
+                    min_size=1, max_size=max_size)
+
+
+def _space(data):
+    return data.draw(st.integers(1, 3)), data.draw(st.sampled_from([QQ, GAUSS]))
+
+
+def _operator(data, dim, field):
+    return WindowedOperator(dim, field, data.draw(_raw_terms(dim, field)))
+
+
+@LAWS
+@given(st.data())
+def test_compose_associative_property(data):
+    dim, field = _space(data)
+    x, y, z = (_operator(data, dim, field) for _ in range(3))
+    assert (x @ y) @ z == x @ (y @ z)
+
+
+@LAWS
+@given(st.data())
+def test_compose_acts_as_successive_application_property(data):
+    dim, field = _space(data)
+    a, b = _operator(data, dim, field), _operator(data, dim, field)
+    f = LaurentPoly(dim, field, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-4, 4)] * dim), _scalars(field), max_size=4)))
+    assert (a @ b).apply(f) == a.apply(b.apply(f))
+
+
+def test_compose_of_disjoint_windows_is_zero():
+    for dim in (1, 2, 3):
+        for field in (QQ, GAUSS):
+            rest = ((None, None),) * (dim - 1)
+            up = (1,) + (0,) * (dim - 1)
+            upper = WindowedOperator.single(dim, 2, (0,) * dim, ((2, None),) + rest, field)
+            lower = WindowedOperator.single(dim, 3, up, ((None, 1),) + rest, field)
+            # lower lands below 2, where upper is zero; upper's image starts
+            # at 2, above lower's window
+            assert (upper @ lower).is_zero() and (lower @ upper).is_zero()
+            # one cell more and the pullback meets the window in [1, 2)
+            reach = WindowedOperator.single(dim, 3, up, ((None, 2),) + rest, field)
+            assert upper @ reach == WindowedOperator.single(dim, 6, up, ((1, 2),) + rest, field)
+
+
+@LAWS
+@given(st.data())
+def test_representations_are_equal_and_hash_alike_property(data):
+    dim, field = _space(data)
+    raw = data.draw(_raw_terms(dim, field))
+    rng = data.draw(st.randoms(use_true_random=False))
+    extra = [(c, raw[0][1], w) for c, _, w in data.draw(_raw_terms(dim, field, 1))]
+    cancel = [(-c, s, w) for c, s, w in _recut(rng, extra)]
+    presentations = [_recut(rng, raw), _recut(rng, raw) + extra + cancel]
+    x = WindowedOperator(dim, field, raw)
+    fresh = [WindowedOperator(dim, field, p) for p in presentations]
+    # equal before any hash is taken, then equal hashes when first taken
+    assert all(y == x for y in fresh)
+    assert {hash(y) for y in fresh} == {hash(x)}
+    # once cached: the same answers, and an unhashed copy still agrees
+    late = WindowedOperator(dim, field, presentations[1])
+    assert all(y == x for y in fresh) and late == x
+    assert hash(late) == hash(x) == hash(fresh[0])
+    assert {x: "x"}[late] == "x"

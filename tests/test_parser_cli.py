@@ -114,6 +114,8 @@ def test_cli_res_extension(capsys):
 def test_cli_res_error(capsys):
     code, (payload,) = run_cli(capsys, "res", "--n", "1", "t^^1 d(t)")
     assert code == 1 and "error" in payload
+    assert payload["kind"] == "ParseError" and payload["offset"] == 2
+    assert "line" not in payload
 
 
 def test_cli_trace(capsys):
@@ -125,12 +127,15 @@ def test_cli_trace(capsys):
 def test_cli_trace_malformed_operator_is_error(capsys):
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", "null")
     assert code == 1 and "error" in payload
+    assert payload["kind"] == "ValueError" and "offset" not in payload
+    code, (payload,) = run_cli(capsys, "trace", "--n", "1", "[{")
+    assert code == 1 and payload["kind"] == "JSONDecodeError"
 
 
 def test_cli_trace_refusal(capsys):
     op = [{"coeff": "1", "shift": [0], "window": [["-inf", "inf"]]}]
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(op))
-    assert code == 1 and "error" in payload
+    assert code == 1 and payload["kind"] == "NotProvablyFinitePotent"
 
 
 def test_cli_expand(capsys):
@@ -201,15 +206,27 @@ def test_cli_batch_error_line(tmp_path, capsys):
                     encoding="utf-8")
     code, payloads = run_cli(capsys, "--json-lines", str(path))
     assert code == 1 and "error" in payloads[0]
+    assert payloads[0]["kind"] == "ParseError" and payloads[0]["line"] == 1
 
 
 def test_cli_batch_line_not_json_keeps_going(tmp_path, capsys):
     lines = [json.dumps({"op": "res", "form": "t^-1 d(t)", "n": 1}),
-             "{not json",
+             "not json",
+             "",
+             json.dumps({"op": "res", "form": "t^-1 d(t) ^^", "n": 1}),
+             json.dumps({"op": "res", "n": 1}),
              json.dumps({"op": "res", "form": "t^-2 d(t)", "n": 1})]
     path = tmp_path / "tasks.jsonl"
     path.write_text("\n".join(lines), encoding="utf-8")
     code, payloads = run_cli(capsys, "--json-lines", str(path))
-    assert code == 1
-    assert [p.get("result") for p in payloads] == ["1", None, "0"]
-    assert set(payloads[1]) == {"error"}
+    assert code == 1 and len(payloads) == 5
+    first, not_json, bad_form, no_form, last = payloads
+    assert first["result"] == "1" and "line" not in first and "kind" not in first
+    assert not_json == {"error": not_json["error"], "kind": "JSONDecodeError", "line": 2}
+    # blank lines are skipped but still counted
+    assert bad_form["kind"] == "ParseError" and bad_form["line"] == 4
+    # offset 11 is the second '^', where a d(...) block should start
+    assert bad_form["offset"] == 11
+    assert bad_form["form"] == "t^-1 d(t) ^^"
+    assert no_form["kind"] == "KeyError" and no_form["line"] == 5
+    assert last["result"] == "0"

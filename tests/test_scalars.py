@@ -50,6 +50,31 @@ def test_field_mismatch():
         GAUSS.generator + ROOT2.generator
 
 
+def test_rational_coerce_returns_fractions_as_they_are():
+    value = Fraction(-7, 3)
+    assert QQ.coerce(value) is value
+    assert QQ.coerce(QQ.zero) is QQ.zero
+
+
+def test_rational_coerce_converts_other_values():
+    class Half(Fraction):
+        pass
+
+    for value, want in ((5, Fraction(5)), (-2, Fraction(-2)), (True, Fraction(1)),
+                        (False, Fraction(0)), ("3/4", Fraction(3, 4)), ("-6", Fraction(-6)),
+                        (Half(1, 2), Fraction(1, 2))):
+        got = QQ.coerce(value)
+        assert type(got) is Fraction and got == want == Fraction(value)
+    with pytest.raises(ValueError):
+        QQ.coerce("x")
+
+
+def test_rational_coerce_refuses_extension_elements():
+    for element in (GAUSS.generator, GAUSS.one, CUBIC.zero):
+        with pytest.raises(FieldMismatch):
+            QQ.coerce(element)
+
+
 def test_trace_linearity_fuzz():
     rng = random.Random(11)
     for field in (GAUSS, CUBIC):
