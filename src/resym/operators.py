@@ -11,14 +11,17 @@ decidable and exact.
 Construction canonicalizes every operator: terms with one shift are refined
 onto the grid of their genuine discontinuities and merged, so structural
 equality coincides with equality of the underlying maps and operators can
-key dictionaries.
+key dictionaries.  Terms from outside are validated once, by
+`WindowedOperator(...)`; `compose`, `+`, `-` and `scale` group the terms of
+canonical operands and pass them unchecked to the same `_canonicalize`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 from .errors import (DimensionMismatch, FieldMismatch, NotProvablyFinitePotent)
 from .laurent import LaurentPoly
@@ -30,10 +33,6 @@ MINUS = "-"
 # An axis window is a pair (lo, hi) for the half-open interval [lo, hi);
 # None encodes the infinite end on either side.
 FULL_AXIS = (None, None)
-
-
-def _window_is_empty(win) -> bool:
-    return any(lo is not None and hi is not None and lo >= hi for lo, hi in win)
 
 
 def _window_contains(win, point) -> bool:
@@ -73,11 +72,7 @@ def _grid_normal_form(dim: int, items):
     coefficients, drops zeros, then removes every breakpoint across which
     the resulting function does not actually change.  The surviving grid is
     the set of genuine discontinuities, hence independent of presentation.
-    One nonempty box is already its own canonical form.
     """
-    if len(items) == 1:
-        coeff, win = items[0]
-        return {win: coeff}
     axes_intervals, spans = _breakpoint_grid(dim, [win for _, win in items])
     sums = {}
     for coeff, win in items:
@@ -139,16 +134,23 @@ def grid_coordinates(ops):
     return vectors
 
 
+def _by_shift(terms) -> dict:
+    """(coeff, shift, window) terms as {shift: [(coeff, window)]}, zeros dropped."""
+    by_shift: dict = {}
+    for coeff, shift, window in terms:
+        if coeff:
+            by_shift.setdefault(shift, []).append((coeff, window))
+    return by_shift
+
+
 class WindowedOperator:
     """Finite sum of windowed shift terms, kept in canonical form."""
 
-    # terms is set only in __init__, so the hash is computed once, when first asked
+    # terms is set only in _canonicalize, so the hash is computed once, when first asked
     __slots__ = ("dim", "field", "terms", "_hash")
 
     def __init__(self, dim: int, field=QQ, terms=()):
-        self.dim = dim
-        self.field = field
-        by_shift: dict = {}
+        checked = []
         for coeff, shift, window in terms:
             coeff = field.coerce(coeff)
             shift = tuple(int(s) for s in shift)
@@ -156,16 +158,31 @@ class WindowedOperator:
                            for lo, hi in window)
             if len(shift) != dim or len(window) != dim:
                 raise DimensionMismatch("term arity does not match the dimension")
-            if not coeff or _window_is_empty(window):
-                continue
-            by_shift.setdefault(shift, []).append((coeff, window))
+            if all(lo is None or hi is None or lo < hi for lo, hi in window):
+                checked.append((coeff, shift, window))
+        self._canonicalize(dim, field, _by_shift(checked))
+
+    def _canonicalize(self, dim: int, field, by_shift: dict) -> "WindowedOperator":
+        """Make this operator the canonical form of `by_shift`; checks nothing.
+        `by_shift` maps shifts of `dim` ints to lists of (coeff, window): each coeff
+        a nonzero element of `field`, each window nonempty, of `dim` int-or-None pairs."""
+        self.dim = dim
+        self.field = field
         canon = []
         for shift in sorted(by_shift):
-            cells = _grid_normal_form(dim, by_shift[shift])
-            order = sorted(cells, key=_window_key) if len(cells) > 1 else cells
-            canon.extend((cells[cell], shift, cell) for cell in order)
+            items = by_shift[shift]
+            if len(items) == 1:     # one nonempty box is its own canonical form
+                canon.append((items[0][0], shift, items[0][1]))
+            else:
+                cells = _grid_normal_form(dim, items)
+                canon.extend((cells[c], shift, c) for c in sorted(cells, key=_window_key))
         self.terms = tuple(canon)
         self._hash = None
+        return self
+
+    def _from_groups(self, by_shift: dict) -> "WindowedOperator":
+        """A new operator of this one's dim and field; see `_canonicalize`."""
+        return object.__new__(WindowedOperator)._canonicalize(self.dim, self.field, by_shift)
 
     # -- constructors ------------------------------------------------------
 
@@ -213,24 +230,24 @@ class WindowedOperator:
 
     def __add__(self, other: "WindowedOperator") -> "WindowedOperator":
         self._check(other)
-        return WindowedOperator(self.dim, self.field, self.terms + other.terms)
+        return self._from_groups(_by_shift(self.terms + other.terms))
 
     def __sub__(self, other: "WindowedOperator") -> "WindowedOperator":
-        return self + (-other)
+        self._check(other)
+        return self._from_groups(_by_shift(
+            chain(self.terms, ((-c, s, w) for c, s, w in other.terms))))
 
     def __neg__(self) -> "WindowedOperator":
-        return WindowedOperator(self.dim, self.field,
-                                [(-c, s, w) for c, s, w in self.terms])
+        return self._from_groups(_by_shift((-c, s, w) for c, s, w in self.terms))
 
     def scale(self, scalar) -> "WindowedOperator":
         scalar = self.field.coerce(scalar)
-        return WindowedOperator(self.dim, self.field,
-                                [(scalar * c, s, w) for c, s, w in self.terms])
+        return self._from_groups(_by_shift((scalar * c, s, w) for c, s, w in self.terms))
 
     def compose(self, other: "WindowedOperator") -> "WindowedOperator":
         """self after other: (self @ other)(v) = self(other(v))."""
         self._check(other)
-        terms = []
+        by_shift: dict = {}
         for cx, sx, wx in self.terms:
             for cy, sy, wy in other.terms:
                 # pull wx back along sy and meet it with wy, one axis at a
@@ -245,8 +262,11 @@ class WindowedOperator:
                         break
                     window.append((lo, hi))
                 else:
-                    terms.append((cx * cy, tuple(a + b for a, b in zip(sx, sy)), tuple(window)))
-        return WindowedOperator(self.dim, self.field, terms)
+                    coeff = cx * cy
+                    if coeff:   # grouped as by _by_shift; a reducible Q[x]/(p) has zero divisors
+                        by_shift.setdefault(tuple(map(add, sx, sy)), []).append(
+                            (coeff, tuple(window)))
+        return self._from_groups(by_shift)
 
     __matmul__ = compose
 

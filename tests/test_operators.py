@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resym import (QQ, ExtensionField, LaurentPoly, NotProvablyFinitePotent,
-                   PolyQ, WindowedOperator, ideal_member, in_trace_ideal,
-                   is_finite_rank, mul_op, projector, tate_trace)
+from resym import (QQ, DimensionMismatch, ExtensionField, LaurentPoly,
+                   NotProvablyFinitePotent, PolyQ, WindowedOperator,
+                   ideal_member, in_trace_ideal, is_finite_rank, mul_op,
+                   projector, tate_trace)
 from resym.verify import (dense_trace, rand_fraction, rand_laurent,
                           rand_operator, rand_strict_shift_operator)
 
@@ -396,3 +397,63 @@ def test_representations_are_equal_and_hash_alike_property(data):
     assert all(y == x for y in fresh) and late == x
     assert hash(late) == hash(x) == hash(fresh[0])
     assert {x: "x"}[late] == "x"
+
+
+# -- validation at the boundary ---------------------------------------------
+# WindowedOperator(...) checks outside input; compose, +, -, and scale build
+# their groups from canonical operands and skip those checks.
+
+@LAWS
+@given(st.data())
+def test_algebra_agrees_with_validating_constructor_property(data):
+    dim, field = _space(data)
+    x, y = _operator(data, dim, field), _operator(data, dim, field)
+    c = data.draw(st.one_of(st.just(field.coerce(0)), _scalars(field)))
+    cases = [(x + y, list(x.terms) + list(y.terms)),
+             (x - y, list(x.terms) + [(-cy, s, w) for cy, s, w in y.terms]),
+             (-x, [(-cx, s, w) for cx, s, w in x.terms]),
+             (x.scale(c), [(c * cx, s, w) for cx, s, w in x.terms])]
+    for got, raw in cases:
+        want = WindowedOperator(dim, field, raw)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_zero_divisor_products_leave_no_zero_terms():
+    # Q[x]/(x^2 - 1) is not a field: (x + 1)(x - 1) = 0
+    ring = ExtensionField(PolyQ((-1, 0, 1)))
+    plus, minus = ring.element((1, 1)), ring.element((-1, 1))
+    zero = WindowedOperator.zero(2, ring)
+    a = WindowedOperator.single(2, plus, (1, 0), ((0, 5), (None, None)), ring)
+    b = WindowedOperator.single(2, minus, (0, -1), ((-2, 3), (None, 4)), ring)
+    for product in (a @ b, b @ a, a.scale(minus), a.scale(0)):
+        assert product.is_zero() and product == zero and product.terms == ()
+    # a surviving product term stays, the vanishing one leaves no zero term
+    c = WindowedOperator.single(2, 3, (1, 0), ((None, 2), (None, None)), ring)
+    mixed = (a + c) @ b
+    assert mixed == c @ b and not mixed.is_zero()
+    assert all(coeff for coeff, _, _ in mixed.terms)
+    # scaling by a zero divisor can make neighbouring cells equal; they merge
+    steps = WindowedOperator(1, ring, [(plus, (0,), ((0, 2),)), (2, (0,), ((2, 4),))])
+    assert len(steps.terms) == 2
+    assert steps.scale(plus) == WindowedOperator.single(1, ring.element((2, 2)), (0,),
+                                                        ((0, 4),), ring)
+
+
+def test_constructor_still_checks_outside_input():
+    op = WindowedOperator(1, QQ, [("1/2", (True,), ((Fraction(2), Fraction(14, 2)),))])
+    assert op.terms == ((Fraction(1, 2), (1,), ((2, 7),)),)
+    (coeff, (shift,), ((lo, hi),)), = op.terms
+    assert (type(coeff), type(shift), type(lo), type(hi)) == (Fraction, int, int, int)
+    with pytest.raises(DimensionMismatch):
+        WindowedOperator(2, QQ, [(1, (0,), ((None, None), (None, None)))])
+    with pytest.raises(DimensionMismatch):
+        WindowedOperator(2, QQ, [(1, (0, 0), ((None, None),))])
+    # empty windows and zero coefficients are dropped, wherever they sit
+    dropped = WindowedOperator(1, QQ, [(1, (0,), ((3, 3),)), (1, (2,), ((4, -1),)),
+                                       (0, (1,), ((None, None),)), ("0/5", (3,), ((0, 1),)),
+                                       (2, (0,), ((0, 1),))])
+    assert dropped == WindowedOperator.single(1, 2, (0,), ((0, 1),))
+    from resym import operator_from_json
+    for bad in (None, [{"coeff": "1", "shift": 0, "window": [[0, 1]]}]):
+        with pytest.raises(ValueError):
+            operator_from_json(bad, 1)
