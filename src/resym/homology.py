@@ -640,20 +640,52 @@ def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
     phi(f_0 (x) .. (x) f_n) = (-1)^n tau(B_1 B_2 .. B_n f_0) where
     B_k = sum_g (-1)^g P_k^{-g} f_k P_k^{g}.  The operand is finite rank for
     windowed slots, so the trace always applies; trace refusals propagate.
+
+    Terms share their work.  Each bracket factor B_k(f) is built once per
+    call, in a table keyed by (k, f) that is dropped on return.  The terms
+    are grouped by f_0, then by f_n, f_{n-1}, .., f_1 -- the order in which
+    the product is composed -- and walked depth first, so a partial product
+    B_k .. B_n f_0 shared by several terms is composed once and at most n
+    of them are alive at a time.  A branch whose partial product is zero is
+    skipped; this is exact, since every later product is zero, tau(0) = 0
+    and the trace of the zero operator refuses nothing.
     """
     n = chain.dim
     if idempotents is None:
         idempotents = GoodIdempotents(n, chain.field)
     if chain.degree != n:
         raise DimensionMismatch(f"need a degree-{n} chain")
-    total = chain.field.zero
     outer = -1 if n % 2 else 1
-    for tensor, coeff in chain.terms.items():
-        op = tensor[0]
-        for k in range(n, 0, -1):
-            op = _bracket_factor(k, tensor[k], idempotents) @ op
-        total = total + coeff * outer * operators.tate_trace(op)
+    brackets = {}
+    total = chain.field.zero
+
+    def walk(op, k, terms):
+        # `terms` share slot 0 and slots k+1..n; `op` is B_{k+1} .. B_n f_0.
+        nonlocal total
+        if k == 0:
+            # A chain's tensors are distinct, so a leaf holds one term.
+            [(_, coeff)] = terms
+            total = total + coeff * outer * operators.tate_trace(op)
+            return
+        for slot, group in _group_by_slot(terms, k).items():
+            factor = brackets.get((k, slot))
+            if factor is None:
+                factor = brackets[k, slot] = _bracket_factor(k, slot, idempotents)
+            partial = factor @ op
+            if not partial.is_zero():
+                walk(partial, k - 1, group)
+
+    for front, group in _group_by_slot(chain.terms.items(), 0).items():
+        walk(front, n, group)
     return total
+
+
+def _group_by_slot(terms, k):
+    """{slot operator: [(tensor, coeff) with tensor[k] == slot]}, in order."""
+    groups = {}
+    for term in terms:
+        groups.setdefault(term[0][k], []).append(term)
+    return groups
 
 
 def phi_hh_zigzag(chain: HochschildChain, idempotents: GoodIdempotents = None):

@@ -226,10 +226,16 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def rational_roots(p: PolyQ):
-    """All rational roots with multiplicity, by the rational root theorem."""
+def _split_rational_roots(p: PolyQ):
+    """Rational roots of p with multiplicity, and p with each divided out.
+
+    Candidates come from the rational root theorem; each root is divided
+    out of the running cofactor as often as it divides it, so a root of
+    multiplicity k costs at most k + 1 divisions, and later candidates are
+    tested against the smaller cofactor.
+    """
     if p.degree <= 0:
-        return []
+        return [], p
     den_lcm = 1
     for c in p.coeffs:
         den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
@@ -246,21 +252,27 @@ def rational_roots(p: PolyQ):
                 candidates.add(Fraction(num, den))
                 candidates.add(Fraction(-num, den))
     roots = []
+    rest = p
     for r in sorted(candidates):
-        if p.evaluate(r) == 0:
-            mult = 0
-            q = p
-            while True:
-                quo, rem = divmod(q, PolyQ((-r, 1)))
-                if not rem.is_zero():
-                    break
-                mult += 1
-                q = quo
-                if q.degree <= 0:
-                    break
-            if mult:
-                roots.append((r, mult))
-    return roots
+        if rest.degree <= 0:
+            break
+        if rest.evaluate(r) != 0:
+            continue
+        lin = PolyQ((-r, 1))
+        mult = 0
+        while rest.degree > 0:
+            quo, rem = divmod(rest, lin)
+            if not rem.is_zero():
+                break
+            mult += 1
+            rest = quo
+        roots.append((r, mult))
+    return roots, rest
+
+
+def rational_roots(p: PolyQ):
+    """All rational roots with multiplicity, by the rational root theorem."""
+    return _split_rational_roots(p)[0]
 
 
 def sqrt_fraction(q: Fraction):
@@ -323,6 +335,9 @@ def is_irreducible(p: PolyQ) -> bool:
         raise UnsupportedFactorization(f"degree {p.degree} exceeds the supported bound 4")
     if p.degree <= 1:
         return p.degree == 1
+    if p.degree <= 3:
+        # A reducible polynomial of degree 2 or 3 has a linear factor.
+        return not rational_roots(p)
     return factor_monic(p) == [(p, 1)]
 
 
@@ -335,13 +350,8 @@ def factor_monic(p: PolyQ):
     """
     if not p.is_monic():
         raise ValueError("factorization expects a monic polynomial")
-    factors: dict[PolyQ, int] = {}
-    rest = p
-    for r, mult in rational_roots(p):
-        lin = PolyQ((-r, 1))
-        factors[lin] = factors.get(lin, 0) + mult
-        for _ in range(mult):
-            rest = rest // lin
+    roots, rest = _split_rational_roots(p)
+    factors: dict[PolyQ, int] = {PolyQ((-r, 1)): mult for r, mult in roots}
     queue = [rest]
     while queue:
         q = queue.pop()

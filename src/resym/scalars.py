@@ -158,8 +158,24 @@ class ExtElem:
         return ExtElem(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        """Schoolbook product, then reduction by the monic modulus from the
+        top degree down; no polynomial objects are built."""
         other = self._check(other)
-        return self.field.element(self._lift() * other._lift())
+        field = self.field
+        d = field.degree
+        out = [Fraction(0)] * (2 * d - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        low = field.modulus.coeffs[:d]
+        for top in range(2 * d - 2, d - 1, -1):
+            c = out[top]
+            if c:
+                base = top - d
+                for j, m in enumerate(low):
+                    out[base + j] -= c * m
+        return ExtElem(field, tuple(out[:d]))
 
     __rmul__ = __mul__
 

@@ -6,14 +6,15 @@ from itertools import permutations
 
 import pytest
 
-from resym import (DifferentialForm, GoodIdempotents, HochschildChain,
-                   LabeledChain, LaurentPoly, LieChain, MembershipError,
-                   NotACycle, QQ, WindowedOperator, ce_delta,
-                   ce_delta_coefficients, chain_is_zero, chains_equal,
-                   commutator_formula, cyclic_t, epsilon, hkr_antisymmetrize,
-                   hochschild_b, homotopy_H, i_prime, lambda_toeplitz, mul_op,
-                   n_partial, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
-                   psi, tate_trace)
+from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
+                   HochschildChain, LabeledChain, LaurentPoly, LieChain,
+                   MembershipError, NotACycle, PolyQ, QQ, WindowedOperator,
+                   ce_delta, ce_delta_coefficients, chain_is_zero,
+                   chains_equal, commutator_formula, cyclic_t, epsilon,
+                   hkr_antisymmetrize, hochschild_b, homotopy_H, i_prime,
+                   lambda_toeplitz, mul_op, n_partial, parse_form, phi_c,
+                   phi_hh_closed, phi_hh_zigzag, projector, psi, residue_form,
+                   tate_trace)
 from resym.verify import (rand_commuting_lie_chain, rand_cycle, rand_fraction,
                           rand_hochschild_chain, rand_labeled_chain,
                           rand_laurent, rand_lie_chain, rand_monomial,
@@ -456,3 +457,108 @@ def test_three_paths_match_jacobian_oracle_n3():
         assert flip * phi_c(cycle) == want
         values.append(want)
     assert len({v for v in values if v}) >= 3    # not a vacuous check
+
+
+# -- phi_hh_closed shares bracket factors and partial products --------------
+
+
+@pytest.mark.parametrize("n, seed, terms", [(4, 404, 4), (5, 505, 3)])
+def test_phi_closed_matches_jacobian_oracle_n4_n5(n, seed, terms):
+    rng = random.Random(seed)
+    values = []
+    for _ in range(6):
+        f0, fs = _random_form(rng, n, terms)
+        cycle = hkr_antisymmetrize(DifferentialForm(LaurentPoly(n, coeffs=f0),
+                                                    [LaurentPoly(n, coeffs=f) for f in fs]))
+        want = _jacobian_residue(f0, fs)
+        assert phi_hh_closed(cycle) == want
+        values.append(want)
+    assert len({v for v in values if v}) >= 2    # not a vacuous check
+
+
+def _closed_per_tensor(chain):
+    """The docstring formula term by term, nothing shared:
+    (-1)^n tau(B_1 .. B_n f_0) with B_k = P_k^- f_k P_k^+ - P_k^+ f_k P_k^-."""
+    n = chain.dim
+    total = chain.field.zero
+    for tensor, coeff in chain.terms.items():
+        op = tensor[0]
+        for k in range(n, 0, -1):
+            plus, minus = projector(n, k, "+", chain.field), projector(n, k, "-", chain.field)
+            op = (minus @ tensor[k] @ plus - plus @ tensor[k] @ minus) @ op
+        total = total + coeff * (-1) ** n * tate_trace(op)
+    return total
+
+
+def _hand_built_chain(rng, n, field):
+    """A chain that is not antisymmetrized: tensors drawn with replacement
+    from small pools, so fronts and suffixes repeat and one operator
+    (t_1 + .. + t_n) may fill several slots, plus a tensor whose first
+    partial product B_n(t_n) P_n^+ t_1..t_n is zero next to a sibling whose
+    is not."""
+    def mono(exps, coeff=1):
+        return mul_op(LaurentPoly.monomial(n, exps, coeff, field))
+
+    def unit(k, e=1):
+        return tuple(e if j == k else 0 for j in range(n))
+
+    dead_front = projector(n, n, "+", field) @ mono((1,) * n)
+    fronts = [dead_front, mono((-1,) * n),
+              mul_op(LaurentPoly(n, field, {(-1,) * n: 1, (-2,) + (-1,) * (n - 1): 2}))]
+    shared = mul_op(LaurentPoly(n, field, {unit(k): 1 for k in range(n)}))
+    wild = rand_operator(rng, n, field)
+    pools = [[mono(unit(k)), mono(unit(k)) + mono(unit(k, 2)), shared, shared, wild,
+              mono((0,) * n)] for k in range(n)]
+    coeffs = ([Fraction(1), Fraction(-2, 3)] if field == QQ
+              else [field.generator, field.element((1, -2))])
+    terms = []
+    for _ in range(16):
+        tensor = (rng.choice(fronts),) + tuple(rng.choice(pool) for pool in pools)
+        terms.append((tensor, rng.choice(coeffs)))
+    middle = tuple(rng.choice(pool) for pool in pools[:-1])
+    t_n = mono(unit(n - 1))
+    terms.append(((dead_front,) + middle + (t_n,), coeffs[0]))
+    terms.append(((dead_front,) + middle + (mono(unit(n - 1, -1)),), coeffs[1]))
+    return HochschildChain(n, field, n, terms), dead_front, t_n
+
+
+def test_phi_closed_matches_per_tensor_formula_on_hand_built_chains():
+    rng = random.Random(606)
+    gauss = ExtensionField(PolyQ((1, 0, 1)))
+    nonzero = 0
+    for n, field in ((2, QQ), (3, QQ), (2, gauss), (3, gauss)):
+        for _ in range(3):
+            chain, dead_front, t_n = _hand_built_chain(rng, n, field)
+            plus, minus = projector(n, n, "+", field), projector(n, n, "-", field)
+            bracket = minus @ t_n @ plus - plus @ t_n @ minus
+            assert not bracket.is_zero() and (bracket @ dead_front).is_zero()
+            value = phi_hh_closed(chain)
+            assert value == _closed_per_tensor(chain)
+            nonzero += bool(value)
+    assert nonzero >= 10    # not a vacuous check
+
+
+def _cyclic_form(n):
+    """(t1..tn)^-1 d(t1 + t1^2 t2) ^ .. ^ d(tn + tn^2 t1); its residue is 1."""
+    ts = [f"t{i}" for i in range(1, n + 1)]
+    f0 = "*".join(f"{v}^-1" for v in ts)
+    ds = " ^ ".join(f"d({ts[i]} + {ts[i]}^2*{ts[(i + 1) % n]})" for i in range(n))
+    return parse_form(f"{f0} {ds}", n)
+
+
+def test_phi_closed_shares_work(monkeypatch):
+    calls = [0]
+    compose = WindowedOperator.compose
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(WindowedOperator, "compose", counted)
+    monkeypatch.setattr(WindowedOperator, "__matmul__", counted)
+    assert residue_form(_cyclic_form(6)) == 1
+    # n!*5n = 21,600 compositions when nothing is shared
+    assert 0 < calls[0] <= 2100
+    calls[0] = 0
+    assert residue_form(_cyclic_form(7)) == 1
+    assert 0 < calls[0] <= 13895

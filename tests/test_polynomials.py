@@ -35,6 +35,29 @@ def test_rational_roots():
     assert roots == {Fraction(1, 2): 1, Fraction(-3): 1, Fraction(0): 1}
 
 
+def test_repeated_rational_roots_and_their_cofactor():
+    half, three = PolyQ((Fraction(-1, 2), 1)), PolyQ((3, 1))
+    p = half ** 5 * three ** 2 * PolyQ((0, 1)) * PolyQ((1, 0, 1))
+    assert rational_roots(p) == [(Fraction(-3), 2), (Fraction(0), 1), (Fraction(1, 2), 5)]
+    assert rational_roots(p * 6) == rational_roots(p)
+    assert dict(factor_monic(p)) == {half: 5, three: 2, PolyQ((0, 1)): 1, PolyQ((1, 0, 1)): 1}
+    assert not is_irreducible(PolyQ((-1, 0, 0, 1)))      # t^3-1 = (t-1)(t^2+t+1)
+    assert is_irreducible(PolyQ((-2, 0, 0, 1)))          # t^3-2
+
+
+def test_each_root_is_divided_out_once(monkeypatch):
+    divisions = [0]
+    divmod_ = PolyQ.__divmod__
+
+    def counted(self, other):
+        divisions[0] += 1
+        return divmod_(self, other)
+
+    monkeypatch.setattr(PolyQ, "__divmod__", counted)
+    assert factor_monic(PolyQ((1, 1)) ** 40) == [(PolyQ((1, 1)), 40)]
+    assert divisions[0] == 40
+
+
 def test_sqrt_fraction():
     assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_fraction(Fraction(2)) is None

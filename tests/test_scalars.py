@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resym import ExtensionField, FieldMismatch, PolyQ, QQ, field_trace
 from resym.verify import rand_fraction
@@ -109,3 +110,28 @@ def test_element_reduction_is_canonical():
 def test_render():
     assert GAUSS.render(GAUSS.element((3, 5))) == "3+5*x"
     assert QQ.render(Fraction(-3, 2)) == "-3/2"
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def _fields(draw):
+    """Monic moduli of degree 1..4, with the reducible x^2 - 1 drawn often."""
+    if draw(st.booleans()):
+        return ExtensionField(PolyQ((-1, 0, 1)))
+    d = draw(st.integers(1, 4))
+    return ExtensionField(PolyQ(draw(st.lists(_FRACTIONS, min_size=d, max_size=d)) + [1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_ext_multiply_matches_polynomial_reference_property(data):
+    field = data.draw(_fields())
+    d = field.degree
+    a, b = (field.element(data.draw(st.lists(_FRACTIONS, min_size=d, max_size=d)))
+            for _ in range(2))
+    product = a * b
+    assert product == field.element(PolyQ(a.coeffs) * PolyQ(b.coeffs))
+    assert len(product.coeffs) == d
+    assert all(type(c) is Fraction for c in product.coeffs)
