@@ -16,7 +16,8 @@ import sys
 
 from .errors import ParseError, ResymError
 from .operators import operator_from_json, tate_trace
-from .parser import parse_extension_modulus, parse_form, parse_rational_function
+from .parser import (number_of_variables, parse_extension_modulus, parse_form,
+                     parse_rational_function)
 from .residue import (Place, expand_at_place, global_residue_sum,
                       nodal_factorization_check, residue_form)
 from .scalars import QQ, ExtensionField, render_scalar
@@ -61,10 +62,10 @@ def _series_payload(field, series) -> dict:
 
 
 def cmd_res(args) -> dict:
-    field = _field_from_ext(args.ext)
-    form = parse_form(args.form, args.n, field)
-    value = residue_form(form)
-    return {"value": str(value)}
+    """Residue of a form; without n, the largest variable index it names."""
+    n = max(1, number_of_variables(args.form)) if args.n is None else int(args.n)
+    form = parse_form(args.form, n, _field_from_ext(args.ext))
+    return {"value": str(residue_form(form))}
 
 
 def cmd_trace(args) -> dict:
@@ -106,8 +107,7 @@ def _batch_task(obj: dict) -> dict:
     out = dict(obj)
     op = obj.get("op")
     if op == "res":
-        ns = argparse.Namespace(form=obj["form"], n=int(obj.get("n", 1)),
-                                ext=obj.get("ext"))
+        ns = argparse.Namespace(form=obj["form"], n=obj.get("n"), ext=obj.get("ext"))
         out["result"] = cmd_res(ns)["value"]
     elif op == "global-sum":
         result = cmd_global_sum(argparse.Namespace(function=obj["function"]))
@@ -202,9 +202,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        if args.fn is cmd_res and args.n is None:
-            from .parser import number_of_variables
-            args.n = max(1, number_of_variables(args.form))
         result = args.fn(args)
     except (ResymError, ValueError, KeyError, ZeroDivisionError, OSError,
             json.JSONDecodeError) as exc:

@@ -18,7 +18,7 @@ from .errors import ParseError
 from .laurent import DifferentialForm, LaurentPoly
 from .polynomials import PolyQ
 from .residue import RationalFunction
-from .scalars import QQ, ExtensionField, render_scalar
+from .scalars import QQ, ExtensionField
 
 _SYMBOLS = "+-*/^()"
 
@@ -123,28 +123,33 @@ class _Parser:
             raise ParseError(tok.pos, f"a variable t1..t{self.dim}")
         raise ParseError(tok.pos, "a variable like t or t1")
 
-    # -- scalar expressions (extension elements) -----------------------------
-
-    def scalar_expr(self):
-        negate = False
-        if self.peek().kind == "-":
+    def signed_sum(self, term):
+        """[-] term (('+'|'-') term)*, with `term` parsing one operand."""
+        negate = self.peek().kind == "-"
+        if negate:
             self.next()
-            negate = True
-        value = self.scalar_term()
+        value = term()
         if negate:
             value = -value
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            term = self.scalar_term()
-            value = value + term if op == "+" else value - term
+            rhs = term()
+            value = value + rhs if op == "+" else value - rhs
         return value
 
-    def scalar_term(self):
-        value = self.scalar_factor()
-        while self.peek().kind == "*":
-            self.next()
-            value = value * self.scalar_factor()
+    def product(self, factor, ops=("*",)):
+        """factor (op factor)* for op in `ops` ('*', and '/' if allowed)."""
+        value = factor()
+        while self.peek().kind in ops:
+            op = self.next().kind
+            rhs = factor()
+            value = value * rhs if op == "*" else value / rhs
         return value
+
+    # -- scalar expressions (extension elements) -----------------------------
+
+    def scalar_expr(self):
+        return self.signed_sum(lambda: self.product(self.scalar_factor))
 
     def scalar_factor(self):
         tok = self.peek()
@@ -164,25 +169,7 @@ class _Parser:
     # -- Laurent polynomials --------------------------------------------------
 
     def laurent_expr(self) -> LaurentPoly:
-        negate = False
-        if self.peek().kind == "-":
-            self.next()
-            negate = True
-        value = self.laurent_term()
-        if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            term = self.laurent_term()
-            value = value + term if op == "+" else value - term
-        return value
-
-    def laurent_term(self) -> LaurentPoly:
-        value = self.laurent_factor()
-        while self.peek().kind == "*":
-            self.next()
-            value = value * self.laurent_factor()
-        return value
+        return self.signed_sum(lambda: self.product(self.laurent_factor))
 
     def laurent_factor(self) -> LaurentPoly:
         tok = self.peek()
@@ -237,26 +224,7 @@ class _Parser:
     # -- rational functions -----------------------------------------------------
 
     def rf_expr(self) -> RationalFunction:
-        negate = False
-        if self.peek().kind == "-":
-            self.next()
-            negate = True
-        value = self.rf_term()
-        if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            term = self.rf_term()
-            value = value + term if op == "+" else value - term
-        return value
-
-    def rf_term(self) -> RationalFunction:
-        value = self.rf_power()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.rf_power()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+        return self.signed_sum(lambda: self.product(self.rf_power, ("*", "/")))
 
     def rf_power(self) -> RationalFunction:
         base = self.rf_atom()
@@ -299,6 +267,8 @@ def parse_laurent(text: str, dim: int, field=QQ) -> LaurentPoly:
 
 
 def parse_form(text: str, dim: int, field=QQ) -> DifferentialForm:
+    if dim < 1:
+        raise ValueError(f"a form needs at least one variable, not n = {dim}")
     p = _Parser(text, dim, field)
     form = p.finish(p.form_expr())
     if form.degree != dim:
@@ -318,39 +288,26 @@ def parse_scalar(text: str, field=QQ):
 
 def parse_extension_modulus(text: str, symbol: str = "x") -> PolyQ:
     """A monic modulus like x^2+1, parsed into a polynomial over Q."""
-    return _scalar_text_to_poly(text, symbol)
+    p = _Parser(text, 1, QQ)
 
+    def factor() -> PolyQ:
+        tok = p.peek()
+        if tok.kind == "num":
+            base = PolyQ.constant(p.rational_literal())
+        elif tok.kind == "name" and tok.text == symbol:
+            p.next()
+            base = PolyQ.x()
+        else:
+            p.fail(f"a rational or {symbol}")
+        if p.peek().kind == "^":
+            p.next()
+            k = p.signed_int()
+            if k < 0:
+                raise ParseError(tok.pos, "a nonnegative exponent")
+            base = base ** k
+        return base
 
-def _scalar_text_to_poly(text: str, symbol: str) -> PolyQ:
-    tokens = _tokenize(text)
-
-    class _PolyParser(_Parser):
-        def __init__(self):
-            self.text = text
-            self.dim = 1
-            self.field = QQ
-            self.tokens = tokens
-            self.k = 0
-
-        def scalar_factor(self):
-            tok = self.peek()
-            if tok.kind == "num":
-                base = PolyQ.constant(self.rational_literal())
-            elif tok.kind == "name" and tok.text == symbol:
-                self.next()
-                base = PolyQ.x()
-            else:
-                self.fail(f"a rational or {symbol}")
-            if self.peek().kind == "^":
-                self.next()
-                k = self.signed_int()
-                if k < 0:
-                    raise ParseError(tok.pos, "a nonnegative exponent")
-                base = base ** k
-            return base
-
-    p = _PolyParser()
-    return p.finish(p.scalar_expr())
+    return p.finish(p.signed_sum(lambda: p.product(factor)))
 
 
 def number_of_variables(text: str) -> int:

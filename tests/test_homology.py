@@ -9,16 +9,13 @@ import pytest
 from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
                    HochschildChain, LabeledChain, LaurentPoly, LieChain,
                    MembershipError, NotACycle, PolyQ, QQ, WindowedOperator,
-                   ce_delta, ce_delta_coefficients, chain_is_zero,
-                   chains_equal, commutator_formula, cyclic_t, epsilon,
-                   hkr_antisymmetrize, hochschild_b, homotopy_H, i_prime,
-                   lambda_toeplitz, mul_op, n_partial, parse_form, phi_c,
-                   phi_hh_closed, phi_hh_zigzag, projector, psi, residue_form,
-                   tate_trace)
-from resym.verify import (rand_commuting_lie_chain, rand_cycle, rand_fraction,
-                          rand_hochschild_chain, rand_labeled_chain,
-                          rand_laurent, rand_lie_chain, rand_monomial,
-                          rand_operator)
+                   ce_delta, chain_is_zero, chains_equal, commutator_formula,
+                   cyclic_t, epsilon, hkr_antisymmetrize, hochschild_b,
+                   homotopy_H, i_prime, lambda_toeplitz, mul_op, n_partial,
+                   parse_form, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
+                   psi, residue_form, tate_trace)
+from resym.verify import (PROPERTIES, rand_fraction, rand_hochschild_chain,
+                          rand_laurent, rand_monomial, rand_operator)
 
 
 def t(dim=1, axis=1):
@@ -47,8 +44,7 @@ def test_b_squared_zero_fuzz():
     rng = random.Random(101)
     for n in (1, 2):
         for _ in range(10):
-            ch = rand_hochschild_chain(rng, n, 3)
-            assert chain_is_zero(hochschild_b(hochschild_b(ch)))
+            assert PROPERTIES["b2"](rng, n, degree=3)
 
 
 def test_b_kills_hkr_of_commuting_entries():
@@ -124,9 +120,7 @@ def test_epsilon_chain_map_fuzz():
     for n in (1, 2):
         for degree in (1, 2, 3):
             for _ in range(5):
-                lc = rand_lie_chain(rng, n, degree)
-                assert chains_equal(hochschild_b(epsilon(lc)),
-                                    epsilon(ce_delta_coefficients(lc)))
+                assert PROPERTIES["chainmap"](rng, n, degree=degree)
 
 
 def test_i_prime():
@@ -148,9 +142,7 @@ def test_n_partial_squared_zero():
     rng = random.Random(109)
     for n in (1, 2):
         for _ in range(8):
-            ch = rand_labeled_chain(rng, n, n + 1, rng.randint(1, 2))
-            if n + 1 >= 2:
-                assert chain_is_zero(n_partial(n_partial(ch)))
+            assert all(PROPERTIES["tower"](rng, n, level=n + 1).values())
     assert n_partial(LabeledChain(2, QQ, 2, 1, [])).is_empty()
 
 
@@ -168,15 +160,7 @@ def test_homotopy_contracts_fuzz():
     rng = random.Random(110)
     for n in (1, 2):
         for _ in range(10):
-            level = rng.randint(0, n + 1)
-            ch = rand_labeled_chain(rng, n, level, rng.randint(1, 2))
-            acc = None
-            if level <= n:
-                acc = n_partial(homotopy_H(ch))
-            if level >= 1:
-                part = homotopy_H(n_partial(ch))
-                acc = part if acc is None else acc + part
-            assert chains_equal(acc, ch)
+            assert all(PROPERTIES["tower"](rng, n).values())
 
 
 def test_homotopy_squared_zero_fuzz():
@@ -184,8 +168,7 @@ def test_homotopy_squared_zero_fuzz():
     for n in (1, 2):
         for _ in range(10):
             level = rng.randint(0, n - 1)
-            ch = rand_labeled_chain(rng, n, level, 1)
-            assert chain_is_zero(homotopy_H(homotopy_H(ch)))
+            assert all(PROPERTIES["tower"](rng, n, level=level, degree=1).values())
 
 
 def test_homotopy_level0_signs():
@@ -241,8 +224,7 @@ def test_zigzag_matches_closed_on_cycles():
     rng = random.Random(114)
     for n in (1, 2):
         for _ in range(15):
-            cycle = rand_cycle(rng, n)
-            assert phi_hh_zigzag(cycle) == phi_hh_closed(cycle)
+            assert PROPERTIES["zigzag"](rng, n)
 
 
 def test_zigzag_anchor_and_zero():
@@ -307,10 +289,8 @@ def test_psi_iterated_trace_identity():
 def test_phi_c_sign_relation():
     rng = random.Random(118)
     for n in (1, 2):
-        flip = (-1) ** (n * (n - 1) // 2)
         for _ in range(15):
-            chain = rand_hochschild_chain(rng, n, n)
-            assert phi_c(chain) == flip * phi_hh_closed(chain)
+            assert PROPERTIES["phic"](rng, n)
     assert phi_c(HochschildChain(2, QQ, 2, [])) == 0
 
 
@@ -318,19 +298,13 @@ def test_commutator_formula_agreement():
     rng = random.Random(119)
     for n in (1, 2):
         for _ in range(15):
-            lc = rand_lie_chain(rng, n, n)
-            assert commutator_formula(lc) == phi_hh_closed(epsilon(lc))
+            assert PROPERTIES["commutator"](rng, n)
 
 
 def test_commutator_formula_commuting_specialization():
     rng = random.Random(120)
-    P = projector(1, 1, "+")
     for _ in range(10):
-        f0, f1 = mul_op(rand_laurent(rng, 1)), mul_op(rand_laurent(rng, 1))
-        if f0.is_zero() or f1.is_zero():
-            continue
-        lc = LieChain.from_parts(f0, (f1,))
-        assert commutator_formula(lc) == tate_trace((P @ f0).commutator(f1))
+        assert PROPERTIES["commuting"](rng, 1) is not False  # None: zero draw
     anchor = LieChain.from_parts(mul_op(tpow(-1)), (mul_op(t()),))
     assert commutator_formula(anchor) == 1
 
@@ -353,12 +327,7 @@ def test_cyclic_vanishing_degree_one():
     # integration-by-parts identity res d(fg) = 0
     rng = random.Random(122)
     for _ in range(15):
-        z = epsilon(rand_commuting_lie_chain(rng, 1, 1))
-        if z.is_empty():
-            continue
-        y = z - cyclic_t(z)
-        assert chain_is_zero(hochschild_b(y))
-        assert phi_hh_closed(y) == 0
+        assert PROPERTIES["cyclic"](rng, 1)
 
 
 def test_phi_vanishes_on_boundaries():
@@ -374,33 +343,15 @@ def test_cyclic_vanishing_on_image_cycles():
     # degree-(n-1) cycle through the norm and an extra identity slot
     rng = random.Random(125)
     for _ in range(10):
-        w = epsilon(rand_commuting_lie_chain(rng, 2, 1))
-        if w.is_empty():
-            continue
-        assert chain_is_zero(hochschild_b(w))
-        lifted = w
-        total = w
-        for _ in range(w.degree):
-            lifted = cyclic_t(lifted)
-            total = total + lifted
-        one = mul_op(LaurentPoly.constant(2, 1))
-        prepended = HochschildChain(2, QQ, total.degree + 1,
-                                    [((one,) + tensor, c)
-                                     for tensor, c in total.terms.items()])
-        y = prepended - cyclic_t(prepended)
-        assert chain_is_zero(hochschild_b(y))
-        assert phi_hh_closed(y) == 0
+        assert PROPERTIES["cyclic"](rng, 2)
 
 
 def test_idempotent_shift_invariance():
     rng = random.Random(123)
     for n in (1, 2):
+        sweep = [(m,) * n for m in range(-3, 4)]
         for _ in range(8):
-            cycle = rand_cycle(rng, n)
-            base = phi_hh_closed(cycle)
-            for m in range(-3, 4):
-                idem = GoodIdempotents(n, QQ, thresholds=(m,) * n)
-                assert phi_hh_closed(cycle, idempotents=idem) == base
+            assert PROPERTIES["shift"](rng, n, thresholds=sweep)
 
 
 # -- three paths against an independent oracle at n = 3 ----------------------

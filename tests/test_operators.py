@@ -10,8 +10,10 @@ from resym import (QQ, DimensionMismatch, ExtensionField, LaurentPoly,
                    NotProvablyFinitePotent, PolyQ, WindowedOperator,
                    ideal_member, in_trace_ideal, is_finite_rank, mul_op,
                    projector, tate_trace)
-from resym.verify import (dense_trace, rand_fraction, rand_laurent,
-                          rand_operator, rand_strict_shift_operator)
+from resym.verify import (PROPERTIES, rand_laurent, rand_operator,
+                          rand_strict_shift_operator, splits_into_ideals,
+                          trace_is_cyclic, trace_kills_nilpotent,
+                          trace_matches_dense)
 
 
 def t(dim=1, axis=1):
@@ -85,14 +87,7 @@ def test_two_sided_ideal_fuzz():
     rng = random.Random(5)
     for n in (1, 2):
         for _ in range(15):
-            a = rand_operator(rng, n)
-            x = rand_operator(rng, n)
-            for axis in range(1, n + 1):
-                for sign in ("+", "-"):
-                    member = projector(n, axis, sign) @ x
-                    assert ideal_member(member, axis, sign)
-                    assert ideal_member(a @ member, axis, sign)
-                    assert ideal_member(member @ a, axis, sign)
+            assert all(PROPERTIES["ideals"](rng, n).values())
 
 
 def test_splitting_into_ideals():
@@ -101,11 +96,7 @@ def test_splitting_into_ideals():
         for _ in range(10):
             x = rand_operator(rng, n)
             for axis in range(1, n + 1):
-                plus = projector(n, axis, "+") @ x
-                minus = projector(n, axis, "-") @ x
-                assert (plus + minus - x).is_zero()
-                assert ideal_member(plus, axis, "+")
-                assert ideal_member(minus, axis, "-")
+                assert splits_into_ideals(x, axis)
 
 
 def test_finite_rank_examples():
@@ -144,8 +135,7 @@ def test_trace_matches_dense_matrix_fuzz():
     rng = random.Random(8)
     for n in (1, 2):
         for _ in range(25):
-            x = rand_operator(rng, n, terms=3, finite=True)
-            assert tate_trace(x) == dense_trace(x)
+            assert trace_matches_dense(rand_operator(rng, n, terms=3, finite=True))
 
 
 def test_trace_nilpotent_shift_class():
@@ -153,7 +143,7 @@ def test_trace_nilpotent_shift_class():
     for n in (1, 2):
         for _ in range(25):
             z = rand_strict_shift_operator(rng, n)
-            assert tate_trace(z) == 0
+            assert trace_kills_nilpotent(z)
             power = z
             for _ in range(12):
                 if power.is_zero():
@@ -176,8 +166,7 @@ def test_trace_cyclicity_fuzz():
     for n in (1, 2):
         for _ in range(30):
             x = rand_operator(rng, n, finite=True)
-            y = rand_operator(rng, n, finite=True)
-            assert tate_trace(x @ y) == tate_trace(y @ x)
+            assert trace_is_cyclic(x, rand_operator(rng, n, finite=True))
 
 
 def test_trace_additive_over_stable_splitting():

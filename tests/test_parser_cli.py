@@ -116,6 +116,9 @@ def test_cli_res_error(capsys):
     assert code == 1 and "error" in payload
     assert payload["kind"] == "ParseError" and payload["offset"] == 2
     assert "line" not in payload
+    for n in ("0", "-1"):
+        code, (payload,) = run_cli(capsys, "res", "--n", n, "t^-1 d(t)")
+        assert code == 1 and payload["kind"] == "ValueError"
 
 
 def test_cli_trace(capsys):
@@ -157,17 +160,14 @@ def test_cli_nodal(capsys):
     assert code == 0 and payload == {"ok": True}
 
 
-def test_cli_verify_nodal_suite(capsys):
-    code, (payload,) = run_cli(capsys, "verify", "--suite", "nodal")
-    assert code == 0
-    assert payload["failures"] == []
-    assert payload["cases"] >= 1
+SUITE_CASES = {"axioms": 275, "compare": 197, "global": 41, "nodal": 5}
 
 
-def test_cli_verify_compare_suite(capsys):
-    code, (payload,) = run_cli(capsys, "verify", "--suite", "compare")
+@pytest.mark.parametrize("suite", SUITE_CASES)
+def test_cli_verify_suite(capsys, suite):
+    code, (payload,) = run_cli(capsys, "verify", "--suite", suite)
     assert code == 0
-    assert payload["failures"] == []
+    assert payload == {"suite": suite, "cases": SUITE_CASES[suite], "failures": []}
 
 
 def test_cli_verify_exit_code_tracks_failures(capsys, monkeypatch):
@@ -189,6 +189,7 @@ def test_cli_batch(tmp_path, capsys):
         {"op": "res", "form": "t^-1 d(t)", "n": 1},
         {"op": "global-sum", "function": "1/t"},
         {"op": "nodal", "order": 6},
+        {"op": "res", "form": "t1^-1*t2^-1 d(t1) ^ d(t2)"},  # n inferred as on the CLI
     ]
     path = tmp_path / "tasks.jsonl"
     path.write_text("\n".join(json.dumps(t) for t in tasks), encoding="utf-8")
@@ -198,6 +199,7 @@ def test_cli_batch(tmp_path, capsys):
     assert payloads[1]["result"] == "0"
     assert payloads[1]["per_place"][0]["place"] == "t"
     assert payloads[2]["result"] is True
+    assert payloads[3]["result"] == "1"
 
 
 def test_cli_batch_error_line(tmp_path, capsys):
@@ -215,12 +217,13 @@ def test_cli_batch_line_not_json_keeps_going(tmp_path, capsys):
              "",
              json.dumps({"op": "res", "form": "t^-1 d(t) ^^", "n": 1}),
              json.dumps({"op": "res", "n": 1}),
+             json.dumps({"op": "res", "form": "t^-1 d(t)", "n": 0}),
              json.dumps({"op": "res", "form": "t^-2 d(t)", "n": 1})]
     path = tmp_path / "tasks.jsonl"
     path.write_text("\n".join(lines), encoding="utf-8")
     code, payloads = run_cli(capsys, "--json-lines", str(path))
-    assert code == 1 and len(payloads) == 5
-    first, not_json, bad_form, no_form, last = payloads
+    assert code == 1 and len(payloads) == 6
+    first, not_json, bad_form, no_form, no_variables, last = payloads
     assert first["result"] == "1" and "line" not in first and "kind" not in first
     assert not_json == {"error": not_json["error"], "kind": "JSONDecodeError", "line": 2}
     # blank lines are skipped but still counted
@@ -229,4 +232,5 @@ def test_cli_batch_line_not_json_keeps_going(tmp_path, capsys):
     assert bad_form["offset"] == 11
     assert bad_form["form"] == "t^-1 d(t) ^^"
     assert no_form["kind"] == "KeyError" and no_form["line"] == 5
+    assert no_variables["kind"] == "ValueError" and no_variables["line"] == 6
     assert last["result"] == "0"
