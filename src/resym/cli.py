@@ -103,28 +103,50 @@ def cmd_nodal(args) -> dict:
     return {"ok": nodal_factorization_check(args.order)}
 
 
+_REQUIRED = object()
+
+
+def _field(obj: dict, name: str, kind: type, default=_REQUIRED):
+    """The batch field `name`, which must be a JSON string (kind str) or
+    integer (kind int).  An absent required field is a KeyError; an absent
+    or null optional one gives `default`; a wrong type is a ValueError that
+    names the field."""
+    value = obj.get(name)
+    if value is None and default is not _REQUIRED:
+        return default
+    if name not in obj:
+        raise KeyError(name)
+    # true and false are no JSON integers, though bool subclasses int
+    if not isinstance(value, kind) or isinstance(value, bool):
+        want = "a string" if kind is str else "an integer"
+        raise ValueError(f"batch field {name!r} must be {want}, not {json.dumps(value)}")
+    return value
+
+
 def _batch_task(obj: dict) -> dict:
     out = dict(obj)
     op = obj.get("op")
     if op == "res":
-        ns = argparse.Namespace(form=obj["form"], n=obj.get("n"), ext=obj.get("ext"))
+        ns = argparse.Namespace(form=_field(obj, "form", str), n=_field(obj, "n", int, None),
+                                ext=_field(obj, "ext", str, None))
         out["result"] = cmd_res(ns)["value"]
     elif op == "global-sum":
-        result = cmd_global_sum(argparse.Namespace(function=obj["function"]))
+        result = cmd_global_sum(argparse.Namespace(function=_field(obj, "function", str)))
         out["result"] = result["sum"]
         out["per_place"] = result["places"]
     elif op == "trace":
         ns = argparse.Namespace(operator=json.dumps(obj["operator"]),
-                                n=int(obj.get("n", 1)), ext=obj.get("ext"))
+                                n=_field(obj, "n", int, 1), ext=_field(obj, "ext", str, None))
         out["result"] = cmd_trace(ns)["value"]
     elif op == "expand":
-        ns = argparse.Namespace(function=obj["function"], place=obj["place"],
-                                order=int(obj.get("order", 2)))
+        ns = argparse.Namespace(function=_field(obj, "function", str),
+                                place=_field(obj, "place", str),
+                                order=_field(obj, "order", int, 2))
         out["result"] = cmd_expand(ns)
     elif op == "nodal":
-        out["result"] = cmd_nodal(argparse.Namespace(order=int(obj.get("order", 12))))["ok"]
+        out["result"] = cmd_nodal(argparse.Namespace(order=_field(obj, "order", int, 12)))["ok"]
     elif op == "verify":
-        out["result"] = cmd_verify(argparse.Namespace(suite=obj.get("suite", "all")))
+        out["result"] = cmd_verify(argparse.Namespace(suite=_field(obj, "suite", str, "all")))
     else:
         raise ValueError(f"unknown batch op {op!r}")
     return out

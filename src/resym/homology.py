@@ -85,11 +85,18 @@ class _ChainBase:
     def _like(self, terms):
         raise NotImplementedError
 
+    @classmethod
+    def _of(cls, *shape_and_terms):
+        """A chain of already merged terms, through the class's `_set`."""
+        return object.__new__(cls)._set(*shape_and_terms)
+
     def is_empty(self) -> bool:
         return not self.terms
 
     def __add__(self, other):
-        if type(other) is not type(self) or other.dim != self.dim or other.field != self.field:
+        # every slot but `terms` is a shape field (dim, field, level, degree)
+        if type(other) is not type(self) or any(
+                getattr(other, f) != getattr(self, f) for f in self.__slots__[:-1]):
             raise DimensionMismatch("incompatible chains")
         merged = dict(self.terms)
         for key, c in other.terms.items():
@@ -113,14 +120,16 @@ class _ChainBase:
 
 
 class HochschildChain(_ChainBase):
-    """Degree-r chain: formal sum of tensors (a_0, a_1, .., a_r) of operators."""
+    """Degree-r chain: formal sum of tensors (a_0, a_1, .., a_r) of operators.
+
+    `HochschildChain(...)` checks, coerces and merges outside input, then
+    hands the merged terms to `_set`; the builders of this module, whose
+    terms are already merged and valid, hand theirs to `_set` directly.
+    """
 
     __slots__ = ("dim", "field", "degree", "terms")
 
     def __init__(self, dim: int, field, degree: int, terms=()):
-        self.dim = dim
-        self.field = field
-        self.degree = degree
         cleaned: dict = {}
         for tensor, coeff in (terms.items() if isinstance(terms, dict) else terms):
             tensor = tuple(tensor)
@@ -133,10 +142,20 @@ class HochschildChain(_ChainBase):
                 if slot.dim != dim or slot.field != field:
                     raise FieldMismatch("slot operator over a different algebra")
             _merge_term(cleaned, tensor, coeff)
-        self.terms = cleaned
+        self._set(dim, field, degree, cleaned)
+
+    def _set(self, dim: int, field, degree: int, terms: dict) -> "HochschildChain":
+        """Make this chain the sum of `terms`; checks nothing.  `terms` maps
+        tensors of `degree + 1` nonzero operators over (dim, field) to nonzero
+        elements of `field`."""
+        self.dim = dim
+        self.field = field
+        self.degree = degree
+        self.terms = terms
+        return self
 
     def _like(self, terms):
-        return HochschildChain(self.dim, self.field, self.degree, terms)
+        return HochschildChain._of(self.dim, self.field, self.degree, terms)
 
     @classmethod
     def from_tensor(cls, slots, coeff=1):
@@ -237,15 +256,17 @@ class LabeledChain(_ChainBase):
     label prescribes (a 0 meaning both the + and the - ideal on that axis);
     construction enforces this, which is what catches sign-convention bugs
     early.  Level 0 terms carry the label None and are unconstrained.
+
+    There is one validation path.  `LabeledChain(...)` checks the shapes
+    and levels of outside input, coerces coefficients, drops zero terms and
+    merges; `_set` then checks each distinct (module slot, label) pair of
+    the merged terms once.  `hochschild_b`, `homotopy_H` and `n_partial`
+    pass their merged output to `_set`, so their terms are checked too.
     """
 
     __slots__ = ("dim", "field", "level", "degree", "terms")
 
     def __init__(self, dim: int, field, level: int, degree: int, terms=()):
-        self.dim = dim
-        self.field = field
-        self.level = level
-        self.degree = degree
         cleaned: dict = {}
         for (label, tensor), coeff in (terms.items() if isinstance(terms, dict) else terms):
             tensor = tuple(tensor)
@@ -256,17 +277,33 @@ class LabeledChain(_ChainBase):
             coeff = field.coerce(coeff)
             if not coeff or any(s.is_zero() for s in tensor):
                 continue
-            _validate_label(tensor[0], label)
             _merge_term(cleaned, (label, tensor), coeff)
-        self.terms = cleaned
+        self._set(dim, field, level, degree, cleaned)
+
+    def _set(self, dim: int, field, level: int, degree: int, terms: dict) -> "LabeledChain":
+        """Make this chain the sum of `terms`, checking every module slot
+        against its label.  `terms` maps (label at `level`, tensor of
+        `degree + 1` nonzero operators) to nonzero elements of `field`."""
+        checked = set()
+        for label, tensor in terms:
+            pair = (tensor[0], label)
+            if label is not None and pair not in checked:
+                _validate_label(tensor[0], label)
+                checked.add(pair)
+        self.dim = dim
+        self.field = field
+        self.level = level
+        self.degree = degree
+        self.terms = terms
+        return self
 
     def _like(self, terms):
-        return LabeledChain(self.dim, self.field, self.level, self.degree, terms)
+        return LabeledChain._of(self.dim, self.field, self.level, self.degree, terms)
 
     @classmethod
     def from_hochschild(cls, chain: HochschildChain) -> "LabeledChain":
-        return cls(chain.dim, chain.field, 0, chain.degree,
-                   [((None, tensor), c) for tensor, c in chain.terms.items()])
+        return cls._of(chain.dim, chain.field, 0, chain.degree,
+                       {(None, tensor): c for tensor, c in chain.terms.items()})
 
     def by_label(self):
         out: dict = {}
@@ -397,37 +434,60 @@ def chains_equal(a, b) -> bool:
 # -- differentials and comparison maps ---------------------------------------
 
 
+def _product_table():
+    """`mul(a, b) == a @ b`, composing each distinct pair once; the table
+    lives as long as `mul`, which its callers drop on return."""
+    table: dict = {}
+
+    def mul(a, b):
+        key = (a, b)
+        p = table.get(key)
+        if p is None:
+            p = table[key] = a @ b
+        return p
+    return mul
+
+
 def hochschild_b(chain):
     """The Hochschild differential b.
 
     b(m (x) a_1 (x) .. (x) a_r) = m a_1 (x) a_2 .. + sum_j (-1)^j m (x) .. a_j a_{j+1} ..
     + (-1)^r a_r m (x) a_1 .. a_{r-1}; module products are operator
     compositions.  Labels, when present, ride along unchanged.
+
+    Each distinct product of two slots is composed once per call, through a
+    product table that is dropped on return.  The terms merge straight into
+    one dict, which goes to the chain's `_set`: a labeled output still has
+    every module slot checked against its label.
     """
     labeled = isinstance(chain, LabeledChain)
     if chain.degree < 1:
         raise ValueError("hochschild_b needs degree >= 1")
+    mul = _product_table()
     out: dict = {}
 
-    def emit(label, tensor, coeff):
-        if any(s.is_zero() for s in tensor):
-            return
-        key = (label, tensor) if labeled else tensor
-        _merge_term(out, key, coeff)
+    def put(label, tensor, c):
+        _merge_term(out, (label, tensor) if labeled else tensor, c)
 
-    items = (((label, tensor), coeff) for (label, tensor), coeff in chain.terms.items()) \
-        if labeled else (((None, tensor), coeff) for tensor, coeff in chain.terms.items())
-    for (label, tensor), coeff in items:
+    for key, coeff in chain.terms.items():
+        label, tensor = key if labeled else (None, key)
         m, rest = tensor[0], tensor[1:]
         r = len(rest)
-        emit(label, (m @ rest[0],) + rest[1:], coeff)
+        # the input slots are nonzero, so only the product slot can be zero
+        front = mul(m, rest[0])
+        if front:
+            put(label, (front,) + rest[1:], coeff)
         for j in range(1, r):
-            merged = rest[:j - 1] + (rest[j - 1] @ rest[j],) + rest[j + 1:]
-            emit(label, (m,) + merged, coeff * (-1) ** j)
-        emit(label, (rest[-1] @ m,) + rest[:-1], coeff * (-1) ** r)
+            inner = mul(rest[j - 1], rest[j])
+            if inner:
+                put(label, (m,) + rest[:j - 1] + (inner,) + rest[j + 1:],
+                    -coeff if j % 2 else coeff)
+        back = mul(rest[-1], m)
+        if back:
+            put(label, (back,) + rest[:-1], -coeff if r % 2 else coeff)
     if labeled:
-        return LabeledChain(chain.dim, chain.field, chain.level, chain.degree - 1, out)
-    return HochschildChain(chain.dim, chain.field, chain.degree - 1, out)
+        return LabeledChain._of(chain.dim, chain.field, chain.level, chain.degree - 1, out)
+    return HochschildChain._of(chain.dim, chain.field, chain.degree - 1, out)
 
 
 def cyclic_t(chain: HochschildChain) -> HochschildChain:
@@ -437,7 +497,7 @@ def cyclic_t(chain: HochschildChain) -> HochschildChain:
         r = len(tensor) - 1
         rotated = (tensor[-1],) + tensor[:-1]
         _merge_term(out, rotated, coeff * (-1) ** r)
-    return HochschildChain(chain.dim, chain.field, chain.degree, out)
+    return HochschildChain._of(chain.dim, chain.field, chain.degree, out)
 
 
 def epsilon(chain: LieChain) -> HochschildChain:
@@ -449,7 +509,7 @@ def epsilon(chain: LieChain) -> HochschildChain:
         for perm in permutations(range(len(slots))):
             tensor = (m,) + tuple(slots[p] for p in perm)
             _merge_term(out, tensor, coeff * _perm_sign(perm))
-    return HochschildChain(chain.dim, chain.field, chain.degree, out)
+    return HochschildChain._of(chain.dim, chain.field, chain.degree, out)
 
 
 def i_prime(chain: LieChain) -> LieChain:
@@ -540,14 +600,14 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
     p = chain.level
     if not 1 <= p <= chain.dim + 1:
         raise ValueError("n_partial needs level between 1 and n+1")
-    out = []
+    out: dict = {}
     if p == 1:
         for (label, tensor), coeff in chain.terms.items():
             sgn = 1
             for s in label:
                 sgn *= sign_of(s)
-            out.append(((None, tensor), coeff * sgn))
-        return LabeledChain(chain.dim, chain.field, 0, chain.degree, out)
+            _merge_term(out, (None, tensor), coeff * sgn)
+        return LabeledChain._of(chain.dim, chain.field, 0, chain.degree, out)
     for (label, tensor), coeff in chain.terms.items():
         for i, s in enumerate(label):
             if s != ZERO:
@@ -555,8 +615,8 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
             zeros_right = sum(1 for t in label[i + 1:] if t == ZERO)
             for repl in (PLUS, MINUS):
                 target = label[:i] + (repl,) + label[i + 1:]
-                out.append(((target, tensor), coeff * (-1) ** zeros_right))
-    return LabeledChain(chain.dim, chain.field, p - 1, chain.degree, out)
+                _merge_term(out, (target, tensor), coeff * (-1) ** zeros_right)
+    return LabeledChain._of(chain.dim, chain.field, p - 1, chain.degree, out)
 
 
 def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> LabeledChain:
@@ -571,6 +631,14 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
             f_{g_1..g_{b+1} s_{b+2}..s_n}.
 
     Together with n_partial it satisfies dH + Hd = id and H^2 = 0.
+
+    Work is shared within one call.  The projector front of a component
+    (the 2^n products P_1^{s_1}..P_n^{s_n} at level 0, one product
+    P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} per label prefix and g_{b+1}
+    above) is composed once, and so is each front applied to a module
+    slot, through a product table that is dropped on return.  The terms
+    merge straight into one dict, which goes to `LabeledChain._set`, so
+    every module slot is still checked against its label.
     """
     n = chain.dim
     if idempotents is None:
@@ -578,50 +646,59 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
     p = chain.level
     if not 0 <= p <= n:
         raise ValueError("homotopy_H needs level between 0 and n")
-    out = []
+    mul = _product_table()
+    out: dict = {}
     if p == 0:
+        fronts = []
+        for label in product((PLUS, MINUS), repeat=n):
+            sgn = 1
+            front = None
+            for axis0 in range(n - 1, -1, -1):
+                sgn *= sign_of(label[axis0])
+                step = idempotents.P(axis0 + 1, label[axis0])
+                front = step if front is None else mul(step, front)
+            fronts.append((label, sgn, front))
         for (_, tensor), coeff in chain.terms.items():
             m, rest = tensor[0], tensor[1:]
-            for label in product((PLUS, MINUS), repeat=n):
-                sgn = 1
-                op = m
-                for axis0 in range(n - 1, -1, -1):
-                    sgn *= sign_of(label[axis0])
-                    op = idempotents.P(axis0 + 1, label[axis0]) @ op
-                out.append(((label, (op,) + rest), coeff * sgn))
-        return LabeledChain(n, chain.field, 1, chain.degree, out)
+            for label, sgn, front in fronts:
+                op = mul(front, m)
+                if op:
+                    _merge_term(out, (label, (op,) + rest), coeff * sgn)
+        return LabeledChain._of(n, chain.field, 1, chain.degree, out)
 
     by_label = chain.by_label()
+    deg_sign = (-1) ** (p + 1)
+    fronts = {}
     for target in labels_of_degree(n, p + 1):
         b = 0
         while b < n and target[b] != ZERO:
             b += 1
         # target[b] == ZERO by construction of the degree
-        deg_sign = (-1) ** (p + 1)
-        prefix_sign = 1
-        prefix = None
-        for i in range(b - 1, -1, -1):
-            prefix_sign *= sign_of(target[i])
-            step = idempotents.P(i + 1, target[i])
-            prefix = step if prefix is None else step @ prefix
-        # note: projectors commute, composition order is immaterial
         for gammas in product((PLUS, MINUS), repeat=b + 1):
             source = gammas + target[b + 1:]
             matches = by_label.get(source)
             if not matches:
                 continue
+            key = (target[:b], gammas[b])
+            front = fronts.get(key)
+            if front is None:
+                # note: projectors commute, composition order is immaterial
+                prefix_sign = 1
+                op_front = idempotents.P(b + 1, _opposite(gammas[b]))
+                for i in range(b - 1, -1, -1):
+                    prefix_sign *= sign_of(target[i])
+                    op_front = mul(idempotents.P(i + 1, target[i]), op_front)
+                front = fronts[key] = (prefix_sign, op_front)
+            prefix_sign, op_front = front
             gsign = 1
             for g in gammas[:b]:
                 gsign *= sign_of(g)
-            head = idempotents.P(b + 1, _opposite(gammas[b]))
-            op_front = head if prefix is None else prefix @ head
             total_sign = deg_sign * prefix_sign * gsign
             for tensor, coeff in matches:
-                new_m = op_front @ tensor[0]
-                if new_m.is_zero():
-                    continue
-                out.append(((target, (new_m,) + tensor[1:]), coeff * total_sign))
-    return LabeledChain(n, chain.field, p + 1, chain.degree, out)
+                new_m = mul(op_front, tensor[0])
+                if new_m:
+                    _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * total_sign)
+    return LabeledChain._of(n, chain.field, p + 1, chain.degree, out)
 
 
 # -- residue functionals -----------------------------------------------------
@@ -754,7 +831,7 @@ def psi(chain: HochschildChain, level: int, idempotents: GoodIdempotents = None)
                     raise MembershipError(
                         f"{what} slot fails I_{axis}^{sign} membership")
 
-    out = []
+    out: dict = {}
     sgn = -1 if s % 2 else 1
     for tensor, coeff in chain.terms.items():
         check_deep(tensor[0], s + 1, "input module")
@@ -762,8 +839,8 @@ def psi(chain: HochschildChain, level: int, idempotents: GoodIdempotents = None)
         if new_m.is_zero():
             continue
         check_deep(new_m, s, "output module")
-        out.append(((new_m,) + tensor[1:s], coeff * sgn))
-    return HochschildChain(n, chain.field, s - 1, out)
+        _merge_term(out, (new_m,) + tensor[1:s], coeff * sgn)
+    return HochschildChain._of(n, chain.field, s - 1, out)
 
 
 def phi_c(chain: HochschildChain, idempotents: GoodIdempotents = None):

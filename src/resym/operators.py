@@ -338,7 +338,7 @@ def operator_from_json(data, dim: int, field=QQ) -> WindowedOperator:
     try:
         for entry in data:
             coeff = parse_scalar(str(entry["coeff"]), field)
-            shift = tuple(entry["shift"])
+            shift = tuple(int(s) for s in entry["shift"])
             window = tuple(
                 (None if lo in ("-inf", None) else int(lo), None if hi in ("inf", None) else int(hi))
                 for lo, hi in entry["window"])

@@ -97,6 +97,14 @@ class Place:
         return cls(poly)
 
     @classmethod
+    def _of_factor(cls, poly: PolyQ) -> "Place":
+        """The place of a factor `factor_monic` returned, which is monic,
+        irreducible and of degree <= 4 already; proves nothing again."""
+        place = object.__new__(cls)
+        place.poly = poly
+        return place
+
+    @classmethod
     def infinity(cls) -> "Place":
         return cls(None)
 
@@ -235,7 +243,7 @@ def global_residue_sum(r: RationalFunction):
     total = Fraction(0)
     if r.den.degree > 0:
         for factor, _ in factor_monic(r.den):
-            place = Place.finite(factor)
+            place = Place._of_factor(factor)
             res = residue_at_place(r, place)
             report.append((place, res))
             total += res

@@ -1,17 +1,24 @@
 """The benchmark tracer's bindings still exist in the library.
 
 `bench/run.py --trace 1` patches the names listed in `bench/tracer.py`;
-a rename in `src/resym/` would make that run fail or miss a span.  This
-test installs and uninstalls the tracer without running a workload.
+a rename in `src/resym/` would make that run fail or miss a span.  The
+first test installs and uninstalls the tracer without running a workload;
+the second runs each workload traced, which fails on a wrong answer, on a
+declared span that records no calls and on a span predicted to stay at
+zero that records some.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -47,3 +54,13 @@ def test_tracer_bindings_resolve_and_restore():
         t.uninstall()
     for owner, attr, original in originals.values():
         assert owner.__dict__[attr] is original, f"{attr} was not restored"
+
+
+def test_traced_runs_are_clean():
+    # spans go to the git-ignored .bench_out/; no bytecode is written under bench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    for workload in ("residue-batch", "cross-check", "series-1d"):
+        proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+                               workload, "--seed", "1", "--trace", "1"],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (workload, proc.stdout[-2000:], proc.stderr[-2000:])

@@ -14,8 +14,9 @@ from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
                    homotopy_H, i_prime, lambda_toeplitz, mul_op, n_partial,
                    parse_form, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
                    psi, residue_form, tate_trace)
-from resym.verify import (PROPERTIES, rand_fraction, rand_hochschild_chain,
-                          rand_laurent, rand_monomial, rand_operator)
+from resym.verify import (PROPERTIES, rand_cycle, rand_fraction,
+                          rand_hochschild_chain, rand_labeled_chain, rand_laurent,
+                          rand_monomial, rand_operator)
 
 
 def t(dim=1, axis=1):
@@ -189,6 +190,47 @@ def test_labeled_chain_membership_validation():
     bad = mul_op(tpow(3))  # not in any ideal
     with pytest.raises(MembershipError):
         LabeledChain(1, QQ, 1, 0, [((("+",), (bad,)), 1)])
+
+
+class _SwappedIdempotents(GoodIdempotents):
+    """A sign-convention bug: P^+ and P^- trade places."""
+
+    __slots__ = ()
+
+    def P(self, axis, sign):
+        return super().P(axis, "-" if sign == "+" else "+")
+
+
+def test_homotopy_with_swapped_projectors_fails_membership():
+    # the builders hand their terms to the constructor's checking step,
+    # so a wrong projector sign is still caught at every level
+    rng = random.Random(126)
+    for n in (2, 3):
+        level0 = LabeledChain.from_hochschild(rand_cycle(rng, n))
+        assert not level0.is_empty()
+        with pytest.raises(MembershipError):
+            homotopy_H(level0, _SwappedIdempotents(n))
+        level1 = hochschild_b(homotopy_H(level0))
+        assert not level1.is_empty()
+        with pytest.raises(MembershipError):
+            homotopy_H(level1, _SwappedIdempotents(n))
+
+
+def test_builders_match_the_validating_constructor():
+    rng = random.Random(127)
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    nonempty = 0
+    for n in (1, 2, 3):
+        for field in (QQ, ext):
+            for _ in range(8):
+                level = rng.randint(0, n)
+                chain = rand_labeled_chain(rng, n, level, rng.randint(1, 2), field)
+                for out in (hochschild_b(chain), homotopy_H(chain)):
+                    assert out == LabeledChain(n, field, out.level, out.degree, out.terms)
+                    assert all(c and all(s for s in tensor)
+                               for (_, tensor), c in out.terms.items())
+                    nonempty += not out.is_empty()
+    assert nonempty >= 60
 
 
 # -- residue functionals -------------------------------------------------------
@@ -513,3 +555,18 @@ def test_phi_closed_shares_work(monkeypatch):
     calls[0] = 0
     assert residue_form(_cyclic_form(7)) == 1
     assert 0 < calls[0] <= 13895
+
+
+def test_zigzag_shares_work(monkeypatch):
+    calls = [0]
+    compose = WindowedOperator.compose
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(WindowedOperator, "compose", counted)
+    monkeypatch.setattr(WindowedOperator, "__matmul__", counted)
+    assert phi_hh_zigzag(hkr_antisymmetrize(_cyclic_form(4))) == 1
+    # 21,548 compositions when every product is rebuilt
+    assert 0 < calls[0] <= 6000

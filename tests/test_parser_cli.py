@@ -234,3 +234,23 @@ def test_cli_batch_line_not_json_keeps_going(tmp_path, capsys):
     assert no_form["kind"] == "KeyError" and no_form["line"] == 5
     assert no_variables["kind"] == "ValueError" and no_variables["line"] == 6
     assert last["result"] == "0"
+
+
+def test_cli_batch_wrong_json_types_keep_going(tmp_path, capsys):
+    lines = [{"op": "res", "form": "t^-1 d(t)", "n": [1]},
+             {"op": "res", "form": 5},
+             {"op": "expand", "function": "1/t", "place": "t", "order": [2]},
+             {"op": "global-sum", "function": 5},
+             {"op": "trace", "operator": [], "n": [1]},
+             # a wrong type inside the operator JSON
+             {"op": "trace", "operator": [{"coeff": 1, "shift": [[1]], "window": [[0, 1]]}]},
+             {"op": "res", "form": "t^-2 d(t)", "n": 1}]
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps(t) for t in lines), encoding="utf-8")
+    code, payloads = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and len(payloads) == 7
+    fields = ["'n'", "'form'", "'order'", "'function'", "'n'", "operator JSON"]
+    for number, (task, payload, field) in enumerate(zip(lines, payloads, fields), 1):
+        assert payload == dict(task, error=payload["error"], kind="ValueError", line=number)
+        assert field in payload["error"]
+    assert payloads[-1]["result"] == "0"

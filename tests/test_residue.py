@@ -11,6 +11,7 @@ from resym import (DifferentialForm, ExtensionField, LaurentPoly, Place, PolyQ,
                    UnsupportedFactorization, binomial_series,
                    coordinate_invariance_check_1d, expand_at_place, field_trace,
                    global_residue_sum, nodal_factorization_check,
+                   parse_rational_function,
                    residue_at_place, residue_coeff_oracle, residue_form,
                    residue_monomial_det)
 from resym.laurent import EXACT_ORDER
@@ -155,6 +156,35 @@ def test_global_sum_constant():
     total, report = global_residue_sum(RationalFunction(PolyQ((5,))))
     assert total == 0
     assert all(res == 0 for _, res in report)
+
+
+def test_global_sum_does_not_reprove_factors_irreducible(monkeypatch):
+    # factor_monic returns irreducible factors; their places must not run the
+    # irreducibility proof (a rational root search) again
+    from resym import polynomials, residue
+    seen, factored = [], [False]
+    roots, factor = polynomials.rational_roots, residue.factor_monic
+
+    def counted_roots(p):
+        if factored[0]:
+            seen.append(p)
+        return roots(p)
+
+    def counted_factor(p):
+        out = factor(p)
+        factored[0] = True
+        return out
+
+    monkeypatch.setattr(polynomials, "rational_roots", counted_roots)
+    monkeypatch.setattr(residue, "factor_monic", counted_factor)
+    rf = parse_rational_function("1/((t^2+1)*(t^2+2)*(t-3)^2)")
+    total, report = global_residue_sum(rf)
+    assert factored[0] and total == 0
+    assert [place.render() for place, _ in report][:-1] == ["t - 3", "t^2 + 1", "t^2 + 2"]
+    assert PolyQ((1, 0, 1)) not in seen and PolyQ((2, 0, 1)) not in seen
+    # outside input still gets the proof
+    with pytest.raises(ValueError):
+        Place.finite(PolyQ((-4, 0, 1)))
 
 
 def test_global_sum_fuzz():
