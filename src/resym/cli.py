@@ -69,12 +69,15 @@ def cmd_res(args) -> dict:
 
 
 def cmd_trace(args) -> dict:
-    field = _field_from_ext(args.ext)
-    text = args.operator
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    op = operator_from_json(json.loads(text), args.n, field)
+    """Trace of an operator given as JSON text, @file or a parsed list;
+    without n, the length of its shifts."""
+    data = args.operator
+    if isinstance(data, str):
+        if data.startswith("@"):
+            with open(data[1:], "r", encoding="utf-8") as fh:
+                data = fh.read()
+        data = json.loads(data)
+    op = operator_from_json(data, args.n, _field_from_ext(args.ext))
     return {"value": render_scalar(tate_trace(op))}
 
 
@@ -104,13 +107,17 @@ def cmd_nodal(args) -> dict:
 
 
 _REQUIRED = object()
+# One default per optional field, for the command line and batch lines alike.
+_EXPAND_ORDER = 4
+_NODAL_ORDER = 12
+_SUITE = "all"
 
 
 def _field(obj: dict, name: str, kind: type, default=_REQUIRED):
-    """The batch field `name`, which must be a JSON string (kind str) or
-    integer (kind int).  An absent required field is a KeyError; an absent
-    or null optional one gives `default`; a wrong type is a ValueError that
-    names the field."""
+    """The batch field `name`, which must be a JSON string (kind str),
+    integer (kind int) or list (kind list).  An absent required field is a
+    KeyError; an absent or null optional one gives `default`; a wrong type
+    is a ValueError that names the field."""
     value = obj.get(name)
     if value is None and default is not _REQUIRED:
         return default
@@ -118,38 +125,50 @@ def _field(obj: dict, name: str, kind: type, default=_REQUIRED):
         raise KeyError(name)
     # true and false are no JSON integers, though bool subclasses int
     if not isinstance(value, kind) or isinstance(value, bool):
-        want = "a string" if kind is str else "an integer"
+        want = {str: "a string", int: "an integer", list: "a list"}[kind]
         raise ValueError(f"batch field {name!r} must be {want}, not {json.dumps(value)}")
     return value
 
 
-def _batch_task(obj: dict) -> dict:
-    out = dict(obj)
+def _exit_status(fn, result: dict) -> int:
+    """1 for a verify run with failures or a failed nodal check, else 0."""
+    if fn is cmd_verify:
+        return 1 if result["failures"] else 0
+    if fn is cmd_nodal:
+        return 0 if result["ok"] else 1
+    return 0
+
+
+# op: (command, its fields as (name, JSON kind, default)), read in order
+_BATCH_OPS = {
+    "res": (cmd_res, (("form", str, _REQUIRED), ("n", int, None), ("ext", str, None))),
+    "global-sum": (cmd_global_sum, (("function", str, _REQUIRED),)),
+    "trace": (cmd_trace, (("operator", list, _REQUIRED), ("n", int, None), ("ext", str, None))),
+    "expand": (cmd_expand, (("function", str, _REQUIRED), ("place", str, _REQUIRED),
+                            ("order", int, _EXPAND_ORDER))),
+    "nodal": (cmd_nodal, (("order", int, _NODAL_ORDER),)),
+    "verify": (cmd_verify, (("suite", str, _SUITE),)),
+}
+
+
+def _batch_task(obj: dict):
+    """The line echoed back with its result, and the line's exit status."""
     op = obj.get("op")
-    if op == "res":
-        ns = argparse.Namespace(form=_field(obj, "form", str), n=_field(obj, "n", int, None),
-                                ext=_field(obj, "ext", str, None))
-        out["result"] = cmd_res(ns)["value"]
-    elif op == "global-sum":
-        result = cmd_global_sum(argparse.Namespace(function=_field(obj, "function", str)))
-        out["result"] = result["sum"]
-        out["per_place"] = result["places"]
-    elif op == "trace":
-        ns = argparse.Namespace(operator=json.dumps(obj["operator"]),
-                                n=_field(obj, "n", int, 1), ext=_field(obj, "ext", str, None))
-        out["result"] = cmd_trace(ns)["value"]
-    elif op == "expand":
-        ns = argparse.Namespace(function=_field(obj, "function", str),
-                                place=_field(obj, "place", str),
-                                order=_field(obj, "order", int, 2))
-        out["result"] = cmd_expand(ns)
-    elif op == "nodal":
-        out["result"] = cmd_nodal(argparse.Namespace(order=_field(obj, "order", int, 12)))["ok"]
-    elif op == "verify":
-        out["result"] = cmd_verify(argparse.Namespace(suite=_field(obj, "suite", str, "all")))
-    else:
+    if not isinstance(op, str) or op not in _BATCH_OPS:
         raise ValueError(f"unknown batch op {op!r}")
-    return out
+    fn, fields = _BATCH_OPS[op]
+    result = fn(argparse.Namespace(**{name: _field(obj, name, kind, default)
+                                      for name, kind, default in fields}))
+    out = dict(obj)
+    if fn is cmd_global_sum:
+        out["result"], out["per_place"] = result["sum"], result["places"]
+    elif fn is cmd_nodal:
+        out["result"] = result["ok"]
+    elif fn in (cmd_res, cmd_trace):
+        out["result"] = result["value"]
+    else:
+        out["result"] = result
+    return out, _exit_status(fn, result)
 
 
 def run_batch(path: str) -> int:
@@ -164,7 +183,9 @@ def run_batch(path: str) -> int:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("a batch line must be a JSON object")
-                _emit(_batch_task(obj))
+                out, line_status = _batch_task(obj)
+                _emit(out)
+                status = max(status, line_status)
             except (ResymError, ValueError, KeyError, ZeroDivisionError) as exc:
                 # json.JSONDecodeError is a ValueError: the batch goes on.
                 failed = dict(obj) if isinstance(obj, dict) else {}
@@ -190,14 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="finite-potent trace of an operator (JSON)")
     p.add_argument("operator", help="operator JSON, or @file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, default=None,
+                   help="number of variables (default: the length of the shifts)")
     p.add_argument("--ext", default=None)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("expand", help="expand a rational function at a place")
     p.add_argument("function")
     p.add_argument("--place", required=True, help="monic polynomial or 'inf'")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=int, default=_EXPAND_ORDER)
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("global-sum", help="sum of residues over all places")
@@ -206,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--suite", choices=["all", "axioms", "compare", "global", "nodal"],
-                   default="all")
+                   default=_SUITE)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("nodal", help="nodal-cubic factorization check")
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=int, default=_NODAL_ORDER)
     p.set_defaults(fn=cmd_nodal)
     return parser
 
@@ -230,11 +252,7 @@ def main(argv=None) -> int:
         _emit(_error_payload(exc))
         return 1
     _emit(result)
-    if args.fn is cmd_verify:
-        return 0 if not result["failures"] else 1
-    if args.fn is cmd_nodal:
-        return 0 if result["ok"] else 1
-    return 0
+    return _exit_status(args.fn, result)
 
 
 if __name__ == "__main__":

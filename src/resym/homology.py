@@ -19,7 +19,8 @@ The coordinates that basis is computed from come from
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
+from math import prod
 
 from .errors import (DecompositionError, DimensionMismatch, FieldMismatch,
                      MembershipError, NotACycle)
@@ -59,13 +60,28 @@ def labels_of_degree(dim: int, degree: int):
             if label_degree(lab) == degree]
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _signed_permutations(items):
+    """(sign, permuted tuple) for every permutation of `items`, in the order
+    of itertools.permutations: putting the i-th remaining item next costs
+    i transpositions."""
+    items = tuple(items)
+    if not items:
+        yield 1, ()
+        return
+    for i, first in enumerate(items):
+        for sign, rest in _signed_permutations(items[:i] + items[i + 1:]):
+            yield (-sign if i % 2 else sign), (first,) + rest
+
+
+def _bracket_terms(slots):
+    """(sign, [x_i, x_j], the other slots in order) for each i < j with a
+    nonzero bracket; the sign is (-1)^(i+j)."""
+    r = len(slots)
+    for i in range(r):
+        for j in range(i + 1, r):
+            bracket = slots[i].commutator(slots[j])
+            if not bracket.is_zero():
+                yield (-1) ** (i + j), bracket, slots[:i] + slots[i + 1:j] + slots[j + 1:]
 
 
 def _merge_term(terms: dict, key, coeff):
@@ -78,25 +94,39 @@ def _merge_term(terms: dict, key, coeff):
 
 
 class _ChainBase:
-    """Shared formal-sum plumbing for the chain classes."""
+    """Formal-sum plumbing shared by the chain classes, `_set` and `__eq__`
+    included.  Every slot but the last, `terms`, is a shape field (dim,
+    field, level, degree); two chains are equal when their types, shape
+    fields and terms are."""
 
     __slots__ = ()
 
-    def _like(self, terms):
-        raise NotImplementedError
+    def _set(self, *shape_and_terms):
+        """Store the shape fields, then the merged terms; checks nothing."""
+        for name, value in zip(self.__slots__, shape_and_terms):
+            setattr(self, name, value)
+        return self
 
     @classmethod
     def _of(cls, *shape_and_terms):
         """A chain of already merged terms, through the class's `_set`."""
         return object.__new__(cls)._set(*shape_and_terms)
 
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__[:-1])
+
+    def _like(self, terms):
+        return self._of(*self._shape(), terms)
+
     def is_empty(self) -> bool:
         return not self.terms
 
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other._shape() == self._shape()
+                and other.terms == self.terms)
+
     def __add__(self, other):
-        # every slot but `terms` is a shape field (dim, field, level, degree)
-        if type(other) is not type(self) or any(
-                getattr(other, f) != getattr(self, f) for f in self.__slots__[:-1]):
+        if type(other) is not type(self) or other._shape() != self._shape():
             raise DimensionMismatch("incompatible chains")
         merged = dict(self.terms)
         for key, c in other.terms.items():
@@ -123,8 +153,10 @@ class HochschildChain(_ChainBase):
     """Degree-r chain: formal sum of tensors (a_0, a_1, .., a_r) of operators.
 
     `HochschildChain(...)` checks, coerces and merges outside input, then
-    hands the merged terms to `_set`; the builders of this module, whose
-    terms are already merged and valid, hand theirs to `_set` directly.
+    hands the merged terms to `_set`; every builder of this module,
+    `hkr_antisymmetrize` included, hands its merged terms to `_set` directly.
+    `terms` maps tensors of `degree + 1` nonzero operators over (dim, field)
+    to nonzero elements of `field`.
     """
 
     __slots__ = ("dim", "field", "degree", "terms")
@@ -144,27 +176,10 @@ class HochschildChain(_ChainBase):
             _merge_term(cleaned, tensor, coeff)
         self._set(dim, field, degree, cleaned)
 
-    def _set(self, dim: int, field, degree: int, terms: dict) -> "HochschildChain":
-        """Make this chain the sum of `terms`; checks nothing.  `terms` maps
-        tensors of `degree + 1` nonzero operators over (dim, field) to nonzero
-        elements of `field`."""
-        self.dim = dim
-        self.field = field
-        self.degree = degree
-        self.terms = terms
-        return self
-
-    def _like(self, terms):
-        return HochschildChain._of(self.dim, self.field, self.degree, terms)
-
     @classmethod
     def from_tensor(cls, slots, coeff=1):
         slots = tuple(slots)
         return cls(slots[0].dim, slots[0].field, len(slots) - 1, [(slots, coeff)])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HochschildChain) and self.degree == other.degree
-                and self.dim == other.dim and self.terms == other.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -180,16 +195,15 @@ class HochschildChain(_ChainBase):
 class LieChain(_ChainBase):
     """Formal sum m (x) f_1 ^ .. ^ f_r, wedge slots kept sorted with sign.
 
-    `m` is None for trivial coefficients; duplicate wedge slots cancel to
-    zero on construction.
+    `m` is None for trivial coefficients.  `LieChain(...)` checks the
+    arity, coerces, drops zero terms, sorts each wedge (a repeated slot
+    cancels it to zero) and merges, then hands the terms to `_set`; `+`,
+    `-` and `scale` merge already sorted wedges and go to `_set` directly.
     """
 
     __slots__ = ("dim", "field", "degree", "terms")
 
     def __init__(self, dim: int, field, degree: int, terms=()):
-        self.dim = dim
-        self.field = field
-        self.degree = degree
         cleaned: dict = {}
         for (m, slots), coeff in (terms.items() if isinstance(terms, dict) else terms):
             slots = tuple(slots)
@@ -205,20 +219,13 @@ class LieChain(_ChainBase):
                 continue
             sign, sorted_slots = normal
             _merge_term(cleaned, (m, sorted_slots), coeff * sign)
-        self.terms = cleaned
-
-    def _like(self, terms):
-        return LieChain(self.dim, self.field, self.degree, terms)
+        self._set(dim, field, degree, cleaned)
 
     @classmethod
     def from_parts(cls, m, slots, coeff=1):
         slots = tuple(slots)
         probe = m if m is not None else slots[0]
         return cls(probe.dim, probe.field, len(slots), [((m, slots), coeff)])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LieChain) and self.degree == other.degree
-                and self.dim == other.dim and self.terms == other.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -281,24 +288,16 @@ class LabeledChain(_ChainBase):
         self._set(dim, field, level, degree, cleaned)
 
     def _set(self, dim: int, field, level: int, degree: int, terms: dict) -> "LabeledChain":
-        """Make this chain the sum of `terms`, checking every module slot
-        against its label.  `terms` maps (label at `level`, tensor of
-        `degree + 1` nonzero operators) to nonzero elements of `field`."""
+        """Check every module slot against its label, then `_ChainBase._set`.
+        `terms` maps (label at `level`, tensor of `degree + 1` nonzero
+        operators) to nonzero elements of `field`."""
         checked = set()
         for label, tensor in terms:
             pair = (tensor[0], label)
             if label is not None and pair not in checked:
                 _validate_label(tensor[0], label)
                 checked.add(pair)
-        self.dim = dim
-        self.field = field
-        self.level = level
-        self.degree = degree
-        self.terms = terms
-        return self
-
-    def _like(self, terms):
-        return LabeledChain._of(self.dim, self.field, self.level, self.degree, terms)
+        return super()._set(dim, field, level, degree, terms)
 
     @classmethod
     def from_hochschild(cls, chain: HochschildChain) -> "LabeledChain":
@@ -310,10 +309,6 @@ class LabeledChain(_ChainBase):
         for (label, tensor), coeff in self.terms.items():
             out.setdefault(label, []).append((tensor, coeff))
         return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LabeledChain) and self.level == other.level
-                and self.degree == other.degree and self.terms == other.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -380,11 +375,9 @@ def _zero_test_entries(chain):
     if isinstance(chain, LieChain):
         entries = []
         for (m, slots), coeff in chain.terms.items():
-            for perm in permutations(range(len(slots))):
-                tensor = tuple(slots[p] for p in perm)
-                if m is not None:
-                    tensor = (m,) + tensor
-                entries.append((None, tensor, coeff * _perm_sign(perm)))
+            head = () if m is None else (m,)
+            for sign, permuted in _signed_permutations(slots):
+                entries.append((None, head + permuted, coeff * sign))
         return entries
     raise TypeError(f"not a chain: {chain!r}")
 
@@ -485,9 +478,8 @@ def hochschild_b(chain):
         back = mul(rest[-1], m)
         if back:
             put(label, (back,) + rest[:-1], -coeff if r % 2 else coeff)
-    if labeled:
-        return LabeledChain._of(chain.dim, chain.field, chain.level, chain.degree - 1, out)
-    return HochschildChain._of(chain.dim, chain.field, chain.degree - 1, out)
+    # degree is the last shape field of both chain types
+    return chain._of(*chain._shape()[:-1], chain.degree - 1, out)
 
 
 def cyclic_t(chain: HochschildChain) -> HochschildChain:
@@ -506,9 +498,8 @@ def epsilon(chain: LieChain) -> HochschildChain:
     for (m, slots), coeff in chain.terms.items():
         if m is None:
             raise ValueError("epsilon expects coefficient-bearing Lie chains")
-        for perm in permutations(range(len(slots))):
-            tensor = (m,) + tuple(slots[p] for p in perm)
-            _merge_term(out, tensor, coeff * _perm_sign(perm))
+        for sign, permuted in _signed_permutations(slots):
+            _merge_term(out, (m,) + permuted, coeff * sign)
     return HochschildChain._of(chain.dim, chain.field, chain.degree, out)
 
 
@@ -534,14 +525,8 @@ def ce_delta(chain: LieChain) -> LieChain:
     for (m, slots), coeff in chain.terms.items():
         if m is not None:
             raise ValueError("ce_delta expects trivial coefficients")
-        r = len(slots)
-        for i in range(r):
-            for j in range(i + 1, r):
-                bracket = slots[i].commutator(slots[j])
-                if bracket.is_zero():
-                    continue
-                rest = tuple(slots[k] for k in range(r) if k != i and k != j)
-                out.append(((None, (bracket,) + rest), coeff * (-1) ** (i + j)))
+        for sign, bracket, rest in _bracket_terms(slots):
+            out.append(((None, (bracket,) + rest), coeff * sign))
     return LieChain(chain.dim, chain.field, chain.degree - 1, out)
 
 
@@ -564,26 +549,23 @@ def ce_delta_coefficients(chain: LieChain) -> LieChain:
             rest = slots[:i - 1] + slots[i:]
             if not acted.is_zero():
                 out.append(((acted, rest), coeff * (-1) ** i))
-        for i in range(1, r + 1):
-            for j in range(i + 1, r + 1):
-                bracket = slots[i - 1].commutator(slots[j - 1])
-                if bracket.is_zero():
-                    continue
-                rest = tuple(slots[k] for k in range(r) if k != i - 1 and k != j - 1)
-                out.append(((m, (bracket,) + rest), coeff * (-1) ** (i + j)))
+        for sign, bracket, rest in _bracket_terms(slots):
+            out.append(((m, (bracket,) + rest), coeff * sign))
     return LieChain(chain.dim, chain.field, chain.degree - 1, out)
 
 
 def hkr_antisymmetrize(form: DifferentialForm) -> HochschildChain:
     """f_0 df_1 ^..^ df_n -> sum_pi sgn(pi) f_0 (x) f_{pi^-1(1)} (x) .. over
-    multiplication operators."""
+    multiplication operators.  A zero entry gives the empty chain and equal
+    entries cancel in the merge; the merged terms go to `_set`."""
     m = mul_op(form.f0)
     ops = [mul_op(g) for g in form.args]
-    terms = []
-    for perm in permutations(range(len(ops))):
-        tensor = (m,) + tuple(ops[p] for p in perm)
-        terms.append((tensor, _perm_sign(perm)))
-    return HochschildChain(form.dim, form.field, form.degree, terms)
+    out: dict = {}
+    if m and all(ops):
+        signs = {1: form.field.one, -1: -form.field.one}
+        for sign, permuted in _signed_permutations(ops):
+            _merge_term(out, (m,) + permuted, signs[sign])
+    return HochschildChain._of(form.dim, form.field, form.degree, out)
 
 
 # -- the labeled tower: differential and contracting homotopy ----------------
@@ -603,10 +585,7 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
     out: dict = {}
     if p == 1:
         for (label, tensor), coeff in chain.terms.items():
-            sgn = 1
-            for s in label:
-                sgn *= sign_of(s)
-            _merge_term(out, (None, tensor), coeff * sgn)
+            _merge_term(out, (None, tensor), coeff * prod(map(sign_of, label)))
         return LabeledChain._of(chain.dim, chain.field, 0, chain.degree, out)
     for (label, tensor), coeff in chain.terms.items():
         for i, s in enumerate(label):
@@ -632,17 +611,17 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
 
     Together with n_partial it satisfies dH + Hd = id and H^2 = 0.
 
-    Work is shared within one call.  The projector front of a component
-    (the 2^n products P_1^{s_1}..P_n^{s_n} at level 0, one product
-    P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} per label prefix and g_{b+1}
-    above) is composed once, and so is each front applied to a module
-    slot, through a product table that is dropped on return.  The terms
-    merge straight into one dict, which goes to `LabeledChain._set`, so
-    every module slot is still checked against its label.
+    Work is shared within one call.  The projector fronts of the components
+    (the 2^n products P_1^{s_1}..P_n^{s_n} at level 0, the products
+    P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} above) and the fronts applied
+    to module slots go through a product table that is dropped on return,
+    so each distinct product is composed once and rebuilding a front costs
+    only table lookups.  The terms merge straight into one dict, which goes
+    to `LabeledChain._set`, so every module slot is still checked against
+    its label.
     """
     n = chain.dim
-    if idempotents is None:
-        idempotents = GoodIdempotents(n, chain.field)
+    idempotents = GoodIdempotents(n, chain.field) if idempotents is None else idempotents
     p = chain.level
     if not 0 <= p <= n:
         raise ValueError("homotopy_H needs level between 0 and n")
@@ -651,13 +630,10 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
     if p == 0:
         fronts = []
         for label in product((PLUS, MINUS), repeat=n):
-            sgn = 1
-            front = None
-            for axis0 in range(n - 1, -1, -1):
-                sgn *= sign_of(label[axis0])
-                step = idempotents.P(axis0 + 1, label[axis0])
-                front = step if front is None else mul(step, front)
-            fronts.append((label, sgn, front))
+            front = idempotents.P(n, label[-1])
+            for axis0 in range(n - 2, -1, -1):
+                front = mul(idempotents.P(axis0 + 1, label[axis0]), front)
+            fronts.append((label, prod(map(sign_of, label)), front))
         for (_, tensor), coeff in chain.terms.items():
             m, rest = tensor[0], tensor[1:]
             for label, sgn, front in fronts:
@@ -667,8 +643,6 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
         return LabeledChain._of(n, chain.field, 1, chain.degree, out)
 
     by_label = chain.by_label()
-    deg_sign = (-1) ** (p + 1)
-    fronts = {}
     for target in labels_of_degree(n, p + 1):
         b = 0
         while b < n and target[b] != ZERO:
@@ -679,29 +653,28 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
             matches = by_label.get(source)
             if not matches:
                 continue
-            key = (target[:b], gammas[b])
-            front = fronts.get(key)
-            if front is None:
-                # note: projectors commute, composition order is immaterial
-                prefix_sign = 1
-                op_front = idempotents.P(b + 1, _opposite(gammas[b]))
-                for i in range(b - 1, -1, -1):
-                    prefix_sign *= sign_of(target[i])
-                    op_front = mul(idempotents.P(i + 1, target[i]), op_front)
-                front = fronts[key] = (prefix_sign, op_front)
-            prefix_sign, op_front = front
-            gsign = 1
-            for g in gammas[:b]:
-                gsign *= sign_of(g)
-            total_sign = deg_sign * prefix_sign * gsign
+            # note: projectors commute, composition order is immaterial
+            sign = (-1) ** (p + 1)
+            front = idempotents.P(b + 1, _opposite(gammas[b]))
+            for i in range(b - 1, -1, -1):
+                sign *= sign_of(target[i]) * sign_of(gammas[i])
+                front = mul(idempotents.P(i + 1, target[i]), front)
             for tensor, coeff in matches:
-                new_m = mul(op_front, tensor[0])
+                new_m = mul(front, tensor[0])
                 if new_m:
-                    _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * total_sign)
+                    _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * sign)
     return LabeledChain._of(n, chain.field, p + 1, chain.degree, out)
 
 
 # -- residue functionals -----------------------------------------------------
+
+
+def _evaluator_idempotents(chain, idempotents) -> GoodIdempotents:
+    """`idempotents`, or the standard ones when None; refuses a chain whose
+    degree is not its dimension n."""
+    if chain.degree != chain.dim:
+        raise DimensionMismatch(f"need a degree-{chain.dim} chain")
+    return GoodIdempotents(chain.dim, chain.field) if idempotents is None else idempotents
 
 
 def _bracket_factor(axis: int, op: WindowedOperator, idempotents: GoodIdempotents):
@@ -728,10 +701,7 @@ def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
     and the trace of the zero operator refuses nothing.
     """
     n = chain.dim
-    if idempotents is None:
-        idempotents = GoodIdempotents(n, chain.field)
-    if chain.degree != n:
-        raise DimensionMismatch(f"need a degree-{n} chain")
+    idempotents = _evaluator_idempotents(chain, idempotents)
     outer = -1 if n % 2 else 1
     brackets = {}
     total = chain.field.zero
@@ -775,10 +745,7 @@ def phi_hh_zigzag(chain: HochschildChain, idempotents: GoodIdempotents = None):
     phi_hh_closed there.
     """
     n = chain.dim
-    if idempotents is None:
-        idempotents = GoodIdempotents(n, chain.field)
-    if chain.degree != n:
-        raise DimensionMismatch(f"need a degree-{n} chain")
+    idempotents = _evaluator_idempotents(chain, idempotents)
     if not chain_is_zero(hochschild_b(chain)):
         raise NotACycle("phi_hh_zigzag needs b(chain) = 0")
     lifted = homotopy_H(LabeledChain.from_hochschild(chain), idempotents)
@@ -821,8 +788,7 @@ def psi(chain: HochschildChain, level: int, idempotents: GoodIdempotents = None)
         raise ValueError("level out of range")
     if chain.degree != s:
         raise DimensionMismatch("chain degree must equal the level")
-    if idempotents is None:
-        idempotents = GoodIdempotents(n, chain.field)
+    idempotents = GoodIdempotents(n, chain.field) if idempotents is None else idempotents
 
     def check_deep(op, start_axis, what):
         for axis in range(start_axis, n + 1):
@@ -849,10 +815,7 @@ def phi_c(chain: HochschildChain, idempotents: GoodIdempotents = None):
     Satisfies phi_c = (-1)^{n(n-1)/2} phi_hh_closed at chain level.
     """
     n = chain.dim
-    if idempotents is None:
-        idempotents = GoodIdempotents(n, chain.field)
-    if chain.degree != n:
-        raise DimensionMismatch(f"need a degree-{n} chain")
+    idempotents = _evaluator_idempotents(chain, idempotents)
     current = chain
     for s in range(n, 0, -1):
         current = psi(current, s, idempotents)
@@ -871,17 +834,13 @@ def commutator_formula(chain: LieChain, idempotents: GoodIdempotents = None):
     Agrees with phi_hh_closed after antisymmetrization.
     """
     n = chain.dim
-    if idempotents is None:
-        idempotents = GoodIdempotents(n, chain.field)
-    if chain.degree != n:
-        raise DimensionMismatch(f"need wedge degree {n}")
+    idempotents = _evaluator_idempotents(chain, idempotents)
     total = chain.field.zero
     outer = -1 if n % 2 else 1
     for (m, slots), coeff in chain.terms.items():
         if m is None:
             raise ValueError("commutator_formula expects coefficient-bearing chains")
-        for perm in permutations(range(n)):
-            psign = _perm_sign(perm)
+        for psign, fs in _signed_permutations(slots):
             for gammas in product((PLUS, MINUS), repeat=n):
                 gsign = 1
                 op = m
@@ -889,8 +848,7 @@ def commutator_formula(chain: LieChain, idempotents: GoodIdempotents = None):
                     g = gammas[k - 1]
                     gsign *= sign_of(g)
                     inner = idempotents.P(k, g) @ op
-                    f = slots[perm[k - 1]]
-                    op = idempotents.P(k, _opposite(g)) @ f.commutator(inner)
+                    op = idempotents.P(k, _opposite(g)) @ fs[k - 1].commutator(inner)
                     if op.is_zero():
                         break
                 if op.is_zero():

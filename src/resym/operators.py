@@ -82,32 +82,31 @@ def _grid_normal_form(dim: int, items):
     cells = {tuple(ivs[k] for ivs, k in zip(axes_intervals, idx)): value
              for idx, value in sums.items() if value}
 
-    changed = True
-    while changed and cells:
-        changed = False
-        for axis in range(dim):
-            ivs = axes_intervals[axis]
-            k = 0
-            while k + 1 < len(ivs):
-                left, right = ivs[k], ivs[k + 1]
-                slab_left = {c[:axis] + c[axis + 1:]: v for c, v in cells.items()
-                             if c[axis] == left}
-                slab_right = {c[:axis] + c[axis + 1:]: v for c, v in cells.items()
-                              if c[axis] == right}
-                if slab_left == slab_right:
-                    merged = (left[0], right[1])
-                    new_cells = {}
-                    for c, v in cells.items():
-                        if c[axis] == right:
-                            continue
-                        if c[axis] == left:
-                            c = c[:axis] + (merged,) + c[axis + 1:]
-                        new_cells[c] = v
-                    cells = new_cells
-                    ivs[k:k + 2] = [merged]
-                    changed = True
-                else:
-                    k += 1
+    # One sweep per axis suffices: a merge on one axis leaves the slab
+    # comparisons of the others unchanged, and after intervals k and k+1
+    # merge the next comparison is of the merged interval against k+2.
+    for axis in range(dim):
+        ivs = axes_intervals[axis]
+        k = 0
+        while k + 1 < len(ivs):
+            left, right = ivs[k], ivs[k + 1]
+            slab_left = {c[:axis] + c[axis + 1:]: v for c, v in cells.items()
+                         if c[axis] == left}
+            slab_right = {c[:axis] + c[axis + 1:]: v for c, v in cells.items()
+                          if c[axis] == right}
+            if slab_left == slab_right:
+                merged = (left[0], right[1])
+                new_cells = {}
+                for c, v in cells.items():
+                    if c[axis] == right:
+                        continue
+                    if c[axis] == left:
+                        c = c[:axis] + (merged,) + c[axis + 1:]
+                    new_cells[c] = v
+                cells = new_cells
+                ivs[k:k + 2] = [merged]
+            else:
+                k += 1
     return cells
 
 
@@ -134,6 +133,15 @@ def grid_coordinates(ops):
     return vectors
 
 
+def _integral(value) -> int:
+    """`value` as an int: True and Fraction(14, 2) convert, while 2.5,
+    Fraction(5, 2) and "3" are refused instead of truncated."""
+    i = int(value)
+    if i != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return i
+
+
 def _by_shift(terms) -> dict:
     """(coeff, shift, window) terms as {shift: [(coeff, window)]}, zeros dropped."""
     by_shift: dict = {}
@@ -153,9 +161,9 @@ class WindowedOperator:
         checked = []
         for coeff, shift, window in terms:
             coeff = field.coerce(coeff)
-            shift = tuple(int(s) for s in shift)
-            window = tuple((None if lo is None else int(lo), None if hi is None else int(hi))
-                           for lo, hi in window)
+            shift = tuple(_integral(s) for s in shift)
+            window = tuple((None if lo is None else _integral(lo),
+                            None if hi is None else _integral(hi)) for lo, hi in window)
             if len(shift) != dim or len(window) != dim:
                 raise DimensionMismatch("term arity does not match the dimension")
             if all(lo is None or hi is None or lo < hi for lo, hi in window):
@@ -331,20 +339,35 @@ class WindowedOperator:
         } for coeff, shift, window in self.terms]
 
 
-def operator_from_json(data, dim: int, field=QQ) -> WindowedOperator:
-    """Inverse of WindowedOperator.to_json_obj; coefficients via the parser."""
+def _json_integer(value, infinite=()):
+    """A JSON integer (not a boolean), or None for a spelling in `infinite`."""
+    if value in infinite:
+        return None
+    if type(value) is not int:
+        raise ValueError(f"operator JSON: {value!r} is not an integer")
+    return value
+
+
+def operator_from_json(data, dim: int = None, field=QQ) -> WindowedOperator:
+    """Inverse of WindowedOperator.to_json_obj; coefficients via the parser.
+
+    Shift entries and finite window ends must be JSON integers; "-inf",
+    "inf" and null stand for the infinite ends.  Without `dim`, the length
+    of the first shift gives it (1 for an operator with no terms).
+    """
     from .parser import parse_scalar
     terms = []
     try:
         for entry in data:
             coeff = parse_scalar(str(entry["coeff"]), field)
-            shift = tuple(int(s) for s in entry["shift"])
-            window = tuple(
-                (None if lo in ("-inf", None) else int(lo), None if hi in ("inf", None) else int(hi))
-                for lo, hi in entry["window"])
+            shift = tuple(_json_integer(s) for s in entry["shift"])
+            window = tuple((_json_integer(lo, ("-inf", None)), _json_integer(hi, ("inf", None)))
+                           for lo, hi in entry["window"])
             terms.append((coeff, shift, window))
     except TypeError as exc:
         raise ValueError(f"operator JSON must be a list of coeff/shift/window objects ({exc})") from exc
+    if dim is None:
+        dim = len(terms[0][1]) if terms else 1
     return WindowedOperator(dim, field, terms)
 
 

@@ -286,9 +286,10 @@ def parse_scalar(text: str, field=QQ):
     return p.finish(p.scalar_expr())
 
 
-def parse_extension_modulus(text: str, symbol: str = "x") -> PolyQ:
+def parse_extension_modulus(text: str) -> PolyQ:
     """A monic modulus like x^2+1, parsed into a polynomial over Q."""
     p = _Parser(text, 1, QQ)
+    symbol = ExtensionField.symbol
 
     def factor() -> PolyQ:
         tok = p.peek()

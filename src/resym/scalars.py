@@ -54,15 +54,15 @@ class ExtensionField:
     tuples of length equal to the degree, so equality is structural.
     """
 
-    __slots__ = ("modulus", "symbol", "degree")
+    __slots__ = ("modulus", "degree")
+    symbol = "x"
 
-    def __init__(self, modulus: PolyQ, symbol: str = "x"):
+    def __init__(self, modulus: PolyQ):
         if not isinstance(modulus, PolyQ):
             modulus = PolyQ(modulus)
         if not modulus.is_monic() or modulus.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
         self.modulus = modulus
-        self.symbol = symbol
         self.degree = modulus.degree
 
     def element(self, coeffs) -> "ExtElem":
@@ -112,11 +112,10 @@ class ExtensionField:
         return "".join(parts) if parts else "0"
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtensionField)
-                and self.modulus == other.modulus and self.symbol == other.symbol)
+        return isinstance(other, ExtensionField) and self.modulus == other.modulus
 
     def __hash__(self):
-        return hash((self.modulus, self.symbol))
+        return hash(self.modulus)
 
     def __repr__(self) -> str:
         return f"Q[{self.symbol}]/({self.modulus.render(self.symbol)})"

@@ -5,7 +5,8 @@ a rename in `src/resym/` would make that run fail or miss a span.  The
 first test installs and uninstalls the tracer without running a workload;
 the second runs each workload traced, which fails on a wrong answer, on a
 declared span that records no calls and on a span predicted to stay at
-zero that records some.
+zero that records some.  The third runs `bench/selftest.py`, which shows
+that the benchmark's answer checks reject perturbed answers.
 """
 
 from __future__ import annotations
@@ -64,3 +65,11 @@ def test_traced_runs_are_clean():
                                workload, "--seed", "1", "--trace", "1"],
                               cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (workload, proc.stdout[-2000:], proc.stderr[-2000:])
+
+
+def test_bench_selftest_passes():
+    # no bytecode is written under bench/, and the self-test writes no files
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, (proc.stdout[-2000:], proc.stderr[-2000:])

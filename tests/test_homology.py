@@ -14,6 +14,7 @@ from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
                    homotopy_H, i_prime, lambda_toeplitz, mul_op, n_partial,
                    parse_form, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
                    psi, residue_form, tate_trace)
+from resym.homology import _bracket_terms, _signed_permutations
 from resym.verify import (PROPERTIES, rand_cycle, rand_fraction,
                           rand_hochschild_chain, rand_labeled_chain, rand_laurent,
                           rand_monomial, rand_operator)
@@ -27,6 +28,33 @@ def tpow(i, dim=1, axis=1):
     exps = [0] * dim
     exps[axis - 1] = i
     return LaurentPoly.monomial(dim, exps)
+
+
+# -- signed permutations and brackets ----------------------------------------
+
+
+def test_signed_permutations_match_sympy():
+    from sympy.combinatorics import Permutation
+    for n in range(6):
+        got = list(_signed_permutations(range(n)))
+        assert len(got) == len({perm for _, perm in got}) == len(list(permutations(range(n))))
+        for sign, perm in got:
+            assert sorted(perm) == list(range(n))
+            assert sign == Permutation(list(perm)).signature()
+
+
+def test_bracket_terms_signs_and_remaining_slots():
+    rng = random.Random(130)
+    slots = tuple(rand_operator(rng, 1) for _ in range(4))
+    got = list(_bracket_terms(slots))
+    want = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            bracket = slots[i] @ slots[j] - slots[j] @ slots[i]
+            if not bracket.is_zero():
+                rest = tuple(s for k, s in enumerate(slots) if k not in (i, j))
+                want.append(((-1) ** (i + j), bracket, rest))
+    assert got == want and len(got) >= 3
 
 
 # -- Hochschild differential --------------------------------------------------
@@ -231,6 +259,59 @@ def test_builders_match_the_validating_constructor():
                                for (_, tensor), c in out.terms.items())
                     nonempty += not out.is_empty()
     assert nonempty >= 60
+    # hkr_antisymmetrize hands its merged terms to the same storing step
+    for n in (1, 2, 3, 4):
+        for field in (QQ, ext):
+            for _ in range(2):
+                f0, fs = _random_form(rng, n, 2)
+                form = DifferentialForm(LaurentPoly(n, field, f0),
+                                        [LaurentPoly(n, field, f) for f in fs])
+                cycle = hkr_antisymmetrize(form)
+                assert cycle == HochschildChain(n, field, n, cycle.terms)
+                assert not cycle.is_empty() and all(cycle.terms.values())
+                assert set(cycle.terms.values()) <= {field.one, -field.one}
+    t1, t2 = LaurentPoly.variable(3, 1), LaurentPoly.variable(3, 2)
+    zero_entry = DifferentialForm(t1, [t2, LaurentPoly(3), t1])
+    equal_entries = DifferentialForm(t1, [t2, t1 + t2, t1 + t2])
+    for form in (zero_entry, equal_entries):
+        assert hkr_antisymmetrize(form) == HochschildChain(3, QQ, 3)
+    # LieChain +, - and scale merge sorted wedges without re-sorting them;
+    # the result must still be what LieChain(...) makes of the same terms
+    ring = ExtensionField(PolyQ((-1, 0, 1)))    # (x + 1)(x - 1) = 0
+    killed = 0
+    for field, coeffs in ((QQ, [Fraction(1), Fraction(-2, 3), Fraction(5)]),
+                          (ring, [ring.one, ring.element((-1, 1)), ring.generator])):
+        for degree in (2, 3):
+            pool = [rand_operator(rng, 2, field) for _ in range(degree + 2)]
+
+            def draw():
+                terms = [((rng.choice([None] + pool), rng.sample(pool, degree)),
+                          rng.choice(coeffs)) for _ in range(4)]
+                return LieChain(2, field, degree, terms)
+            for _ in range(6):
+                a, b = draw(), draw()
+                scalar = rng.choice(coeffs) if field == QQ else ring.element((1, 1))
+                for out in (a + b, a - b, a.scale(scalar)):
+                    assert out == LieChain(2, field, degree, out.terms)
+                    assert all(out.terms.values())
+                killed += len(a.scale(scalar).terms) < len(a.terms)
+    assert killed >= 3    # the zero divisor did cancel terms
+
+
+def test_chain_equality_needs_type_shape_and_terms():
+    rng = random.Random(129)
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    chain = rand_hochschild_chain(rng, 2, 1)
+    assert not chain.is_empty()
+    assert chain != LabeledChain.from_hochschild(chain)
+    assert LabeledChain.from_hochschild(chain) != chain
+    assert chain == HochschildChain(2, QQ, 1, chain.terms)
+    assert HochschildChain(2, QQ, 1) != HochschildChain(2, QQ, 2)
+    assert HochschildChain(2, QQ, 1) != HochschildChain(2, ext, 1)
+    assert HochschildChain(2, QQ, 1) != LabeledChain(2, QQ, 0, 1)
+    assert LabeledChain(2, QQ, 1, 1) != LabeledChain(2, QQ, 2, 1)
+    assert LieChain(2, QQ, 1) != LieChain(2, ext, 1)
+    assert LieChain(2, QQ, 1) != LieChain(1, QQ, 1)
 
 
 # -- residue functionals -------------------------------------------------------

@@ -446,3 +446,37 @@ def test_constructor_still_checks_outside_input():
     for bad in (None, [{"coeff": "1", "shift": 0, "window": [[0, 1]]}]):
         with pytest.raises(ValueError):
             operator_from_json(bad, 1)
+    # integral values convert, anything else is refused instead of truncated
+    for bad in (2.5, Fraction(5, 2), "3"):
+        with pytest.raises(ValueError):
+            WindowedOperator(1, QQ, [(1, (bad,), ((None, None),))])
+        with pytest.raises(ValueError):
+            WindowedOperator(1, QQ, [(1, (0,), ((0, bad),))])
+        with pytest.raises(ValueError):
+            WindowedOperator(1, QQ, [(1, (0,), ((bad, None),))])
+
+
+def test_operator_json_takes_only_integers():
+    from resym import operator_from_json
+
+    def data(shift, lo, hi):
+        return [{"coeff": "1", "shift": [shift], "window": [[lo, hi]]}]
+    want = WindowedOperator.single(1, 1, (2,), ((None, 3),))
+    assert operator_from_json(data(2, "-inf", 3), 1) == want
+    assert operator_from_json(data(2, None, 3), 1) == want
+    assert operator_from_json(data(0, 0, None), 1) == operator_from_json(data(0, 0, "inf"), 1)
+    for bad in (2.5, 2.0, True, False, "3", [1], {"a": 1}):
+        for case in (data(bad, 0, 3), data(0, bad, 3), data(0, 0, bad)):
+            with pytest.raises(ValueError) as err:
+                operator_from_json(case, 1)
+            assert repr(bad) in str(err.value)
+    # an infinite end only where it belongs, and no infinite shift
+    for case in (data(0, "inf", 3), data(0, 0, "-inf"), data(None, 0, 3), data("inf", 0, 3)):
+        with pytest.raises(ValueError):
+            operator_from_json(case, 1)
+    # without a dimension, the length of the shifts gives it
+    two = [{"coeff": "2", "shift": [0, 1], "window": [[0, 2], [-1, 1]]}]
+    assert operator_from_json(two).dim == 2
+    assert operator_from_json([]) == WindowedOperator.zero(1)
+    with pytest.raises(DimensionMismatch):
+        operator_from_json(two + data(0, 0, 1))

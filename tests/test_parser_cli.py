@@ -135,6 +135,38 @@ def test_cli_trace_malformed_operator_is_error(capsys):
     assert code == 1 and payload["kind"] == "JSONDecodeError"
 
 
+def test_cli_trace_refuses_non_integer_bounds(tmp_path, capsys):
+    bad_ops = [[{"coeff": "1", "shift": [0], "window": [[0, 2.5]]}],
+               [{"coeff": "1", "shift": [True], "window": [[0, "3"]]}],
+               [{"coeff": "1", "shift": [0.9], "window": [[0, 3]]}],
+               [{"coeff": "1", "shift": [0], "window": [["3", 5]]}]]
+    for op in bad_ops:
+        code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(op))
+        assert code == 1 and payload["kind"] == "ValueError" and "error" in payload
+    lines = [{"op": "trace", "operator": op, "n": 1} for op in bad_ops]
+    lines.append({"op": "trace", "operator": [{"coeff": "1", "shift": [0], "window": [[0, 3]]}]})
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps(t) for t in lines), encoding="utf-8")
+    code, payloads = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and len(payloads) == 5
+    for number, (task, payload) in enumerate(zip(lines, payloads[:-1]), 1):
+        assert payload == dict(task, error=payload["error"], kind="ValueError", line=number)
+    assert payloads[-1]["result"] == "3"
+
+
+def test_cli_trace_infers_n_from_the_shifts(tmp_path, capsys):
+    # the box [0,2) x [0,3) on the identity shift has trace 6; times 1/2
+    op = [{"coeff": "1/2", "shift": [0, 0], "window": [[0, 2], [0, 3]]}]
+    code, (payload,) = run_cli(capsys, "trace", json.dumps(op))
+    assert code == 0 and payload == {"value": "3"}
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(json.dumps({"op": "trace", "operator": op}), encoding="utf-8")
+    code, (payload,) = run_cli(capsys, "--json-lines", str(path))
+    assert code == 0 and payload["result"] == "3"
+    code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(op))
+    assert code == 1 and payload["kind"] == "DimensionMismatch"
+
+
 def test_cli_trace_refusal(capsys):
     op = [{"coeff": "1", "shift": [0], "window": [["-inf", "inf"]]}]
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(op))
@@ -176,6 +208,52 @@ def test_cli_verify_exit_code_tracks_failures(capsys, monkeypatch):
                         lambda name: {"suite": name, "cases": 1, "failures": ["boom"]})
     code, (payload,) = run_cli(capsys, "verify", "--suite", "axioms")
     assert code == 1 and payload["failures"] == ["boom"]
+
+
+# (command line, batch line with its optional fields omitted, the batch result's
+# counterpart in the command line's payload)
+FRONT_DOORS = [
+    (["res", "t1^-1*t2^-2 d(t1 + t2^2) ^ d(t2)"],
+     {"op": "res", "form": "t1^-1*t2^-2 d(t1 + t2^2) ^ d(t2)"}, lambda p: p["value"]),
+    (["trace", json.dumps([{"coeff": "2", "shift": [0, 0], "window": [[0, 2], [0, 3]]}])],
+     {"op": "trace", "operator": [{"coeff": "2", "shift": [0, 0], "window": [[0, 2], [0, 3]]}]},
+     lambda p: p["value"]),
+    (["expand", "1/t", "--place", "t"], {"op": "expand", "function": "1/t", "place": "t"},
+     lambda p: p),
+    (["global-sum", "1/(t^2+1)"], {"op": "global-sum", "function": "1/(t^2+1)"},
+     lambda p: p["sum"]),
+    (["nodal"], {"op": "nodal"}, lambda p: p["ok"]),
+    (["verify"], {"op": "verify"}, lambda p: p),
+]
+
+
+@pytest.mark.parametrize("argv, task, pick", FRONT_DOORS, ids=[t["op"] for _, t, _ in FRONT_DOORS])
+def test_cli_and_batch_give_the_same_answer(tmp_path, capsys, monkeypatch, argv, task, pick):
+    import resym.cli as cli_module
+    # the suite is stubbed: what is compared is the default suite reaching it
+    monkeypatch.setattr(cli_module, "run_suite",
+                        lambda name: {"suite": name, "cases": 1, "failures": []})
+    code, (direct,) = run_cli(capsys, *argv)
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(json.dumps(task), encoding="utf-8")
+    batch_code, (line,) = run_cli(capsys, "--json-lines", str(path))
+    assert code == batch_code == 0 and "error" not in direct
+    assert line["result"] == pick(direct)
+
+
+def test_cli_batch_exit_code_follows_the_command_line(tmp_path, capsys, monkeypatch):
+    import resym.cli as cli_module
+    monkeypatch.setattr(cli_module, "run_suite",
+                        lambda name: {"suite": name, "cases": 1, "failures": ["boom"]})
+    monkeypatch.setattr(cli_module, "nodal_factorization_check", lambda order: False)
+    good = {"op": "res", "form": "t^-1 d(t)"}
+    for argv, task in ((["verify", "--suite", "axioms"], {"op": "verify", "suite": "axioms"}),
+                       (["nodal"], {"op": "nodal"})):
+        assert run_cli(capsys, *argv)[0] == 1
+        path = tmp_path / "tasks.jsonl"
+        path.write_text("\n".join(json.dumps(t) for t in (task, good)), encoding="utf-8")
+        code, (first, second) = run_cli(capsys, "--json-lines", str(path))
+        assert code == 1 and "error" not in first and second["result"] == "1"
 
 
 def test_cli_unknown_flag_is_error(capsys):
