@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FieldMismatch, PrecisionError, ValuationError
+from .polynomials import binary_power
 from .scalars import QQ, render_scalar
 
 
@@ -118,6 +119,8 @@ class LaurentPoly:
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
+            if not self.coeffs:
+                raise ZeroDivisionError("zero to a negative power")
             # only monomials are invertible among finite Laurent polynomials
             if len(self.coeffs) != 1:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
@@ -125,14 +128,7 @@ class LaurentPoly:
             inv = 1 / c if isinstance(c, (int, Fraction)) else c.inverse()
             return LaurentPoly(self.dim, self.field,
                                {tuple(e * k for e in exps): inv ** (-k)})
-        out = LaurentPoly.constant(self.dim, 1, self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, LaurentPoly.constant(self.dim, 1, self.field))
 
     def min_exponent(self) -> int:
         """Smallest total degree in the support (for n=1: the valuation)."""

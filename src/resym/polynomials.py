@@ -13,6 +13,23 @@ from math import gcd as int_gcd, isqrt
 from .errors import UnsupportedFactorization
 
 
+def binary_power(base, k: int, one):
+    """base ** k for k >= 0 by binary powering; `one` is the result at k = 0.
+
+    The base is squared only while higher bits of k remain, so every square
+    formed enters the result; the first factor is taken as it is, not
+    multiplied into `one`.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return one if out is None else out
+        base = base * base
+
+
 class PolyQ:
     """Univariate polynomial with Fraction coefficients, constant term first."""
 
@@ -106,14 +123,7 @@ class PolyQ:
     def __pow__(self, k: int) -> "PolyQ":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = PolyQ.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return binary_power(self, k, PolyQ.one())
 
     def __divmod__(self, other: "PolyQ"):
         if other.is_zero():

@@ -14,6 +14,7 @@ from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
                    homotopy_H, i_prime, lambda_toeplitz, mul_op, n_partial,
                    parse_form, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
                    psi, residue_form, tate_trace)
+from resym.polynomials import is_irreducible
 from resym.homology import _bracket_terms, _signed_permutations
 from resym.verify import (PROPERTIES, rand_cycle, rand_fraction,
                           rand_hochschild_chain, rand_labeled_chain, rand_laurent,
@@ -531,6 +532,82 @@ def test_three_paths_match_jacobian_oracle_n3():
         assert flip * phi_c(cycle) == want
         values.append(want)
     assert len({v for v in values if v}) >= 3    # not a vacuous check
+
+
+def test_three_paths_match_jacobian_oracle_over_a_non_integral_cubic():
+    """The Jacobian law over K = Q[x]/(x^3 + x^2/3 - 3x/2 + 1/2), whose modulus
+    is not integral; the oracle computes in K with sympy, by remainders mod
+    the modulus, and traces to Q on the companion matrix."""
+    import sympy
+    modulus = PolyQ((Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), 1))
+    assert is_irreducible(modulus)
+    field = ExtensionField(modulus)
+    x = sympy.Symbol("x")
+    p = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in modulus.coeffs[::-1]], x)
+    companion = sympy.Matrix.companion(p)
+    rng = random.Random(707)
+
+    def coeff():
+        return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(3))
+
+    def poly(n):
+        return {tuple(rng.randint(-1, 1) for _ in range(n)): coeff() for _ in range(3)}
+
+    def symbolic(f):
+        return {e: sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                       for k, c in enumerate(cs)) for e, cs in f.items()}
+
+    def in_field(f, n):
+        return LaurentPoly(n, field, {e: field.element(cs) for e, cs in f.items()})
+
+    def aimed(fs, n):
+        """A random f0 with one term against the Jacobian monomial of the
+        diagonal product of partials d f_i / d t_i (f_i's first term with
+        t_i in it), so that the residue is rarely zero."""
+        f0 = poly(n)
+        firsts = [next((a for a in f if a[i]), None) for i, f in enumerate(fs)]
+        if None not in firsts:
+            f0[tuple(-sum(col) for col in zip(*firsts))] = coeff()
+        return f0
+
+    values = []
+    for n in (2, 2, 2, 3, 3):
+        fs = [poly(n) for _ in range(n)]
+        f0 = aimed(fs, n)
+        want = sympy.rem(sympy.Poly(sympy.expand(
+            _jacobian_residue(symbolic(f0), [symbolic(f) for f in fs])), x), p)
+        coeffs = want.all_coeffs()[::-1] + [0] * (3 - len(want.all_coeffs()))
+        want_coeffs = tuple(Fraction(str(c)) for c in coeffs)
+        want_trace = Fraction(str(sum((c * companion ** k for k, c in enumerate(coeffs)),
+                                      sympy.zeros(3)).trace()))
+        form = DifferentialForm(in_field(f0, n), [in_field(f, n) for f in fs])
+        cycle = hkr_antisymmetrize(form)
+        assert phi_hh_closed(cycle).coeffs == want_coeffs
+        assert phi_hh_zigzag(cycle).coeffs == want_coeffs
+        assert (phi_c(cycle) * (-1) ** (n * (n - 1) // 2)).coeffs == want_coeffs
+        assert residue_form(form) == want_trace
+        values.append(want_coeffs)
+    # not a vacuous check: residues off the rational line at both n
+    assert any(v[1] or v[2] for v in values[:3]) and any(v[1] or v[2] for v in values[3:])
+
+
+def test_extension_residue_builds_no_polynomials(monkeypatch):
+    gauss = ExtensionField(PolyQ((1, 0, 1)))
+    form = parse_form("(3/2 + x)*t1^-1*t2^-1*t3^-1 d(t1 + t1^2*t2) ^ d(t2 + (x)*t2^2*t3)"
+                      " ^ d(t3 + (1/2)*t3^2*t1)", 3, gauss)
+    built = [0]
+    init = PolyQ.__init__
+
+    def counted(self, coeffs=()):
+        built[0] += 1
+        init(self, coeffs)
+
+    monkeypatch.setattr(PolyQ, "__init__", counted)
+    # the cyclic form's residue is 1, times Tr(3/2 + x) = 3
+    assert residue_form(form) == 3
+    assert built[0] == 0
+    assert gauss.zero is gauss.zero and gauss.one is gauss.one
+    assert gauss.generator is gauss.generator
 
 
 # -- phi_hh_closed shares bracket factors and partial products --------------

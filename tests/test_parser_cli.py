@@ -121,6 +121,26 @@ def test_cli_res_error(capsys):
         assert code == 1 and payload["kind"] == "ValueError"
 
 
+def test_cli_zero_to_a_negative_power_is_a_division_by_zero(tmp_path, capsys):
+    cases = [("0^-1*t^-1 d(t)", None), ("(0)^-1*t^-1 d(t)", None),
+             ("(0^-1)*t^-1 d(t)", "x^2+1"), ("0^-2*t^-1 d(t)", "x^2+1"),
+             ("(x-x)^-3*t^-1 d(t)", "x^2+1")]
+    for form, ext in cases:
+        argv = ["res", form] + (["--ext", ext] if ext else [])
+        code, (payload,) = run_cli(capsys, *argv)
+        assert code == 1 and payload["kind"] == "ZeroDivisionError" and "error" in payload
+    lines = [{"op": "res", "form": form, **({"ext": ext} if ext else {})} for form, ext in cases]
+    lines.append({"op": "res", "form": "t^-1 d(t)", "ext": "x^2+1"})
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps(t) for t in lines), encoding="utf-8")
+    code, payloads = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and len(payloads) == len(lines)
+    for number, (task, payload) in enumerate(zip(lines, payloads[:-1]), 1):
+        assert payload == dict(task, error=payload["error"], kind="ZeroDivisionError",
+                               line=number)
+    assert payloads[-1]["result"] == "2"
+
+
 def test_cli_trace(capsys):
     op = [{"coeff": "3/2", "shift": [0], "window": [[0, 4]]}]
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(op))

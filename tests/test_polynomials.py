@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from resym import PolyQ, UnsupportedFactorization, factor_monic, is_irreducible
-from resym.polynomials import rational_roots, sqrt_fraction
+from resym import (ExtensionField, LaurentPoly, PolyQ, UnsupportedFactorization,
+                   factor_monic, is_irreducible)
+from resym.polynomials import binary_power, rational_roots, sqrt_fraction
 
 
 def test_divmod_roundtrip():
@@ -126,3 +127,45 @@ def test_shifted_coefficients():
     p = PolyQ((1, 2, 1))  # (t+1)^2
     shifted = shifted_coefficients(p, Fraction(-1), Fraction(1))
     assert PolyQ(shifted) == PolyQ((0, 0, 1))
+
+
+# -- binary powering ----------------------------------------------------------
+
+
+def _squaring_loop(base, k, one):
+    """The loop binary_power replaced: it squares once more after the last bit."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def test_powers_match_the_squaring_loop():
+    field = ExtensionField(PolyQ((Fraction(-1, 3), Fraction(1, 2), 0, 1)))
+    t_plus_one = LaurentPoly(1, coeffs={(0,): 1, (1,): 1})
+    bases = [(PolyQ((1, 1)), PolyQ.one()), (t_plus_one, LaurentPoly.constant(1, 1)),
+             (field.element((Fraction(1, 2), 1, -2)), field.one)]
+    for base, one in bases:
+        for k in range(71):
+            assert base ** k == _squaring_loop(base, k, one)
+
+
+def test_binary_power_multiplies_only_what_it_uses():
+    class Counted:
+        products = 0
+
+        def __init__(self, exponent):
+            self.exponent = exponent
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return Counted(self.exponent + other.exponent)
+
+    for k in range(71):
+        Counted.products = 0
+        assert binary_power(Counted(1), k, Counted(0)).exponent == k
+        # squarings below the top bit, plus one product per further set bit
+        assert Counted.products == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)

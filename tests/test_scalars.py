@@ -49,6 +49,11 @@ def test_invert_zero_raises():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         GAUSS.generator + ROOT2.generator
+    # x^2 + 1/2 scales to 2x^2 + 1, whose low coefficients are those of x^2 + 1
+    half = ExtensionField(PolyQ((Fraction(1, 2), 0, 1)))
+    assert half != GAUSS and ExtensionField(PolyQ((1, 0, 1))) == GAUSS
+    with pytest.raises(FieldMismatch):
+        half.generator * GAUSS.generator
 
 
 def test_rational_coerce_returns_fractions_as_they_are():
@@ -117,11 +122,40 @@ _FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 @st.composite
 def _fields(draw):
-    """Monic moduli of degree 1..4, with the reducible x^2 - 1 drawn often."""
+    """Monic moduli of degree 1..4, with the reducible x^2 - 1 drawn often
+    and the others given at least one non-integral coefficient."""
     if draw(st.booleans()):
         return ExtensionField(PolyQ((-1, 0, 1)))
     d = draw(st.integers(1, 4))
-    return ExtensionField(PolyQ(draw(st.lists(_FRACTIONS, min_size=d, max_size=d)) + [1]))
+    low = draw(st.lists(_FRACTIONS, min_size=d, max_size=d))
+    j = draw(st.integers(0, d - 1))
+    low[j] += Fraction(1, draw(st.sampled_from((2, 3, 4))))
+    return ExtensionField(PolyQ(low + [1]))
+
+
+def _draw_element(data, field):
+    return field.element(data.draw(st.lists(_FRACTIONS, min_size=field.degree,
+                                            max_size=field.degree)))
+
+
+def _reduced(field, poly):
+    """Coefficients of poly mod the modulus, padded to the degree."""
+    rem = divmod(poly, field.modulus)[1]
+    return tuple(rem.coefficient(k) for k in range(field.degree))
+
+
+def _reference_inverse(field, a):
+    """Inverse of a mod the modulus by the extended Euclidean algorithm on
+    PolyQ, or None when a is zero or a zero divisor."""
+    r0, r1 = field.modulus, PolyQ(a.coeffs)
+    s0, s1 = PolyQ.zero(), PolyQ.one()
+    while r1:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        return None
+    return s0 * (1 / r0.coefficient(0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -133,5 +167,74 @@ def test_ext_multiply_matches_polynomial_reference_property(data):
             for _ in range(2))
     product = a * b
     assert product == field.element(PolyQ(a.coeffs) * PolyQ(b.coeffs))
+    assert product.coeffs == _reduced(field, PolyQ(a.coeffs) * PolyQ(b.coeffs))
     assert len(product.coeffs) == d
     assert all(type(c) is Fraction for c in product.coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_ext_ring_operations_match_polynomial_reference_property(data):
+    field = data.draw(_fields())
+    a, b = _draw_element(data, field), _draw_element(data, field)
+    pa, pb = PolyQ(a.coeffs), PolyQ(b.coeffs)
+    assert (a + b).coeffs == _reduced(field, pa + pb)
+    assert (a - b).coeffs == _reduced(field, pa - pb)
+    assert (-a).coeffs == _reduced(field, -pa)
+    inverse = _reference_inverse(field, a)
+    if inverse is None:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+    else:
+        assert a.inverse().coeffs == _reduced(field, inverse)
+    for k in range(-3, 6):
+        if k >= 0:
+            assert (a ** k).coeffs == _reduced(field, pa ** k)
+        elif inverse is None:
+            with pytest.raises(ZeroDivisionError):
+                a ** k
+        else:
+            assert (a ** k).coeffs == _reduced(field, inverse ** -k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_ext_equal_values_are_equal_and_hash_alike_property(data):
+    field = data.draw(_fields())
+    a, b = _draw_element(data, field), _draw_element(data, field)
+    r = data.draw(_FRACTIONS)
+    shift = PolyQ(data.draw(st.lists(_FRACTIONS, max_size=3)))
+    pairs = [(a, field.element(PolyQ(a.coeffs) + shift * field.modulus)),
+             (a, (a + b) - b), (a, a * field.one), (a, field.element(list(a.coeffs))),
+             (a * b, b * a), (field.coerce(r), field.element((r,))),
+             (field.coerce(r), field.one * r), (field.zero, a - a),
+             (field.one, ExtensionField(field.modulus).one)]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+    assert field.coerce(r) == r
+    assert (a == b) == (a.coeffs == b.coeffs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_field_trace_matches_regular_representation_property(data):
+    import sympy
+    field = data.draw(_fields())
+    a = _draw_element(data, field)
+    x = sympy.Symbol("x")
+    companion = sympy.Matrix.companion(sympy.Poly(field.modulus.coeffs[::-1], x))
+    regular = sympy.zeros(field.degree)
+    for k, c in enumerate(a.coeffs):
+        regular += sympy.Rational(c.numerator, c.denominator) * companion ** k
+    assert field_trace(a) == Fraction(str(regular.trace()))
+
+
+def test_zero_divisors_are_refused():
+    split = ExtensionField(PolyQ((-1, 0, 1)))     # Q[x]/(x^2-1) = Q x Q
+    plus, minus = split.element((1, 1)), split.element((-1, 1))
+    assert plus * minus == split.zero
+    for value in (plus, minus, plus * 3, minus * Fraction(-2, 3), split.zero):
+        for attempt in (value.inverse, lambda: split.one / value, lambda: value ** -2):
+            with pytest.raises(ZeroDivisionError):
+                attempt()
+    assert split.generator.inverse() == split.generator
