@@ -598,7 +598,8 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
     return LabeledChain._of(chain.dim, chain.field, p - 1, chain.degree, out)
 
 
-def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> LabeledChain:
+def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
+               targets=None) -> LabeledChain:
     """Contracting homotopy of the labeled tower, one level up.
 
     Level 0 -> 1: (Hf)_{s_1..s_n} = (-1)^{s_1+..+s_n} P_1^{s_1}..P_n^{s_n} f.
@@ -611,8 +612,13 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
 
     Together with n_partial it satisfies dH + Hd = id and H^2 = 0.
 
+    `targets` names the labels at level p+1 whose components are built; it
+    defaults to all of them.  Each component is computed exactly as for the
+    full H, so the result is the full H with its other components dropped.
+    A label that is not at level p+1 raises ValueError.
+
     Work is shared within one call.  The projector fronts of the components
-    (the 2^n products P_1^{s_1}..P_n^{s_n} at level 0, the products
+    (one product P_1^{s_1}..P_n^{s_n} per target at level 0, the products
     P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} above) and the fronts applied
     to module slots go through a product table that is dropped on return,
     so each distinct product is composed once and rebuilding a front costs
@@ -625,11 +631,19 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
     p = chain.level
     if not 0 <= p <= n:
         raise ValueError("homotopy_H needs level between 0 and n")
+    labels = labels_of_degree(n, p + 1)
+    if targets is None:
+        targets = labels
+    else:
+        targets = list(dict.fromkeys(map(tuple, targets)))
+        stray = [label for label in targets if label not in labels]
+        if stray:
+            raise ValueError(f"targets {stray} are not labels at level {p + 1}")
     mul = _product_table()
     out: dict = {}
     if p == 0:
         fronts = []
-        for label in product((PLUS, MINUS), repeat=n):
+        for label in targets:
             front = idempotents.P(n, label[-1])
             for axis0 in range(n - 2, -1, -1):
                 front = mul(idempotents.P(axis0 + 1, label[axis0]), front)
@@ -643,7 +657,7 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None) -> Labe
         return LabeledChain._of(n, chain.field, 1, chain.degree, out)
 
     by_label = chain.by_label()
-    for target in labels_of_degree(n, p + 1):
+    for target in targets:
         b = 0
         while b < n and target[b] != ZERO:
             b += 1
@@ -743,14 +757,28 @@ def phi_hh_zigzag(chain: HochschildChain, idempotents: GoodIdempotents = None):
     the trace ideal at level n+1 in degree 0, where the finite-potent trace
     reads off the value.  Requires an honest cycle; agrees with
     phi_hh_closed there.
+
+    Only the staircase components are built: at level p+1 the labels
+    {+,-}^{n-p} 0^p.  This is exact, by induction down from the trace.
+    The trace reads the single label 0^n at level n+1.  b leaves labels
+    alone, and H's component at a staircase label T = s_1..s_{n-p} 0^p
+    (its {+,-} prefix has length b = n-p) reads only the source labels
+    g_1..g_{n-p+1} 0^{p-1}, which are the staircase at level p.  So no
+    other component ever reaches the trace, and each H builds just the
+    staircase through its `targets`.
     """
     n = chain.dim
     idempotents = _evaluator_idempotents(chain, idempotents)
     if not chain_is_zero(hochschild_b(chain)):
         raise NotACycle("phi_hh_zigzag needs b(chain) = 0")
-    lifted = homotopy_H(LabeledChain.from_hochschild(chain), idempotents)
-    for _ in range(n):
-        lifted = homotopy_H(hochschild_b(lifted), idempotents)
+
+    def staircase(p):
+        return [signs + (ZERO,) * p for signs in product((PLUS, MINUS), repeat=n - p)]
+
+    lifted = homotopy_H(LabeledChain.from_hochschild(chain), idempotents,
+                        targets=staircase(0))
+    for p in range(1, n + 1):
+        lifted = homotopy_H(hochschild_b(lifted), idempotents, targets=staircase(p))
     total = chain.field.zero
     for (_, tensor), coeff in lifted.terms.items():
         total = total + coeff * operators.tate_trace(tensor[0])

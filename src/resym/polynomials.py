@@ -222,18 +222,25 @@ def shifted_coefficients(p: PolyQ, a, one):
 
 
 def _divisors(n: int):
+    """The positive divisors of |n| in increasing order; [1] for n = 0.
+
+    |n| is factored once, by trial division up to the root of the cofactor
+    that is left, and the divisors are built from its prime powers.
+    """
     n = abs(n)
-    if n == 0:
-        return [1]
-    small, large = [], []
-    d = 1
+    divisors = [1]
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+            powers = [1]
+            while n % d == 0:
+                n //= d
+                powers.append(powers[-1] * d)
+            divisors = [a * b for a in divisors for b in powers]
+        d += 1 if d == 2 else 2
+    if n > 1:
+        divisors += [a * n for a in divisors]
+    return sorted(divisors)
 
 
 def _split_rational_roots(p: PolyQ):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -11,9 +11,9 @@ from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
                    MembershipError, NotACycle, PolyQ, QQ, WindowedOperator,
                    ce_delta, chain_is_zero, chains_equal, commutator_formula,
                    cyclic_t, epsilon, hkr_antisymmetrize, hochschild_b,
-                   homotopy_H, i_prime, lambda_toeplitz, mul_op, n_partial,
-                   parse_form, phi_c, phi_hh_closed, phi_hh_zigzag, projector,
-                   psi, residue_form, tate_trace)
+                   homotopy_H, i_prime, labels_of_degree, lambda_toeplitz,
+                   mul_op, n_partial, parse_form, phi_c, phi_hh_closed,
+                   phi_hh_zigzag, projector, psi, residue_form, tate_trace)
 from resym.polynomials import is_irreducible
 from resym.homology import _bracket_terms, _signed_permutations
 from resym.verify import (PROPERTIES, rand_cycle, rand_fraction,
@@ -230,19 +230,63 @@ class _SwappedIdempotents(GoodIdempotents):
         return super().P(axis, "-" if sign == "+" else "+")
 
 
+def _staircase(n, p):
+    """The labels at level p+1 that phi_hh_zigzag builds: {+,-}^{n-p} 0^p."""
+    return [signs + ("0",) * p for signs in product("+-", repeat=n - p)]
+
+
 def test_homotopy_with_swapped_projectors_fails_membership():
     # the builders hand their terms to the constructor's checking step,
-    # so a wrong projector sign is still caught at every level
+    # so a wrong projector sign is still caught at every level, whether
+    # H builds every component or only the staircase
     rng = random.Random(126)
     for n in (2, 3):
-        level0 = LabeledChain.from_hochschild(rand_cycle(rng, n))
+        cycle = rand_cycle(rng, n)
+        level0 = LabeledChain.from_hochschild(cycle)
         assert not level0.is_empty()
-        with pytest.raises(MembershipError):
-            homotopy_H(level0, _SwappedIdempotents(n))
         level1 = hochschild_b(homotopy_H(level0))
         assert not level1.is_empty()
+        for chain in (level0, level1):
+            for targets in (None, _staircase(n, chain.level)):
+                with pytest.raises(MembershipError):
+                    homotopy_H(chain, _SwappedIdempotents(n), targets=targets)
         with pytest.raises(MembershipError):
-            homotopy_H(level1, _SwappedIdempotents(n))
+            phi_hh_zigzag(cycle, _SwappedIdempotents(n))
+
+
+def test_restricted_targets_are_a_restriction():
+    # H with `targets` equals the full H with its other components dropped,
+    # at every level, over Q and Q[x]/(x^2+1), under shifted idempotents
+    rng = random.Random(128)
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    checked = 0
+    for n in (1, 2, 3):
+        for field in (QQ, ext):
+            for level in range(n + 1):
+                for _ in range(3):
+                    chain = rand_labeled_chain(rng, n, level, 1, field)
+                    for _ in range(2):
+                        chain = chain + rand_labeled_chain(rng, n, level, 1, field)
+                    thresholds = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n))
+                    idem = GoodIdempotents(n, field, thresholds=thresholds)
+                    full = homotopy_H(chain, idem)
+                    labels = labels_of_degree(n, level + 1)
+                    # a label named twice is built once
+                    subsets = [[], labels, _staircase(n, level), labels + labels[::-1],
+                               rng.sample(labels, rng.randint(1, len(labels)))]
+                    for subset in subsets:
+                        want = {key: c for key, c in full.terms.items() if key[0] in subset}
+                        got = homotopy_H(chain, idem, targets=subset)
+                        assert got == LabeledChain(n, field, level + 1, 1, want)
+                        checked += bool(want) and len(want) < len(full.terms)
+    assert checked >= 30
+    # a target must be a label at level p+1
+    chain = rand_labeled_chain(rng, 2, 1, 1)
+    for bad in [("+", "-"), ("0", "0"), ("+", "0", "0"), ("+",), ("x", "0")]:
+        with pytest.raises(ValueError):
+            homotopy_H(chain, targets=[bad])
+    with pytest.raises(ValueError):
+        homotopy_H(LabeledChain.from_hochschild(rand_cycle(rng, 2)), targets=[("+", "0")])
 
 
 def test_builders_match_the_validating_constructor():
@@ -349,6 +393,22 @@ def test_zigzag_matches_closed_on_cycles():
     for n in (1, 2):
         for _ in range(15):
             assert PROPERTIES["zigzag"](rng, n)
+
+
+def test_zigzag_matches_closed_under_shifted_idempotents():
+    rng = random.Random(129)
+    values = []
+    for n in (2, 3):
+        for _ in range(4):
+            f0, fs = _random_form(rng, n)
+            cycle = hkr_antisymmetrize(DifferentialForm(
+                LaurentPoly(n, coeffs=f0), [LaurentPoly(n, coeffs=f) for f in fs]))
+            thresholds = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n))
+            idem = GoodIdempotents(n, QQ, thresholds=thresholds)
+            value = phi_hh_closed(cycle, idem)
+            assert phi_hh_zigzag(cycle, idem) == value
+            values.append(value)
+    assert len({v for v in values if v}) >= 3    # not a vacuous check
 
 
 def test_zigzag_anchor_and_zero():
@@ -726,5 +786,10 @@ def test_zigzag_shares_work(monkeypatch):
     monkeypatch.setattr(WindowedOperator, "compose", counted)
     monkeypatch.setattr(WindowedOperator, "__matmul__", counted)
     assert phi_hh_zigzag(hkr_antisymmetrize(_cyclic_form(4))) == 1
-    # 21,548 compositions when every product is rebuilt
-    assert 0 < calls[0] <= 6000
+    # 21,548 compositions when every product is rebuilt, 5,184 when every
+    # component of the tower is built
+    assert 0 < calls[0] <= 2600
+    calls[0] = 0
+    assert phi_hh_zigzag(hkr_antisymmetrize(_cyclic_form(5))) == 1
+    # 30,458 when every component of the tower is built
+    assert 0 < calls[0] <= 12000

@@ -7,7 +7,7 @@ import pytest
 
 from resym import (ExtensionField, LaurentPoly, PolyQ, UnsupportedFactorization,
                    factor_monic, is_irreducible)
-from resym.polynomials import binary_power, rational_roots, sqrt_fraction
+from resym.polynomials import _divisors, binary_power, rational_roots, sqrt_fraction
 
 
 def test_divmod_roundtrip():
@@ -57,6 +57,17 @@ def test_each_root_is_divided_out_once(monkeypatch):
     monkeypatch.setattr(PolyQ, "__divmod__", counted)
     assert factor_monic(PolyQ((1, 1)) ** 40) == [(PolyQ((1, 1)), 40)]
     assert divisions[0] == 40
+
+
+def test_divisors_match_brute_force():
+    for n in range(-500, 3001):
+        m = abs(n)
+        want = [1] if m == 0 else [d for d in range(1, m + 1) if m % d == 0]
+        assert _divisors(n) == want
+    # trial division up to the root of 3^40 would take 3^20 steps
+    assert _divisors(3 ** 40) == [3 ** k for k in range(41)]
+    big_prime = 2 ** 31 - 1
+    assert _divisors(-2 * big_prime) == [1, 2, big_prime, 2 * big_prime]
 
 
 def test_sqrt_fraction():
