@@ -29,7 +29,7 @@ from .laurent import DifferentialForm
 # replacement of the module attribute (bench/tracer.py) is seen.
 from . import operators
 from .operators import (MINUS, PLUS, GoodIdempotents, WindowedOperator,
-                        grid_coordinates, ideal_member, mul_op, projector)
+                        grid_coordinates, ideal_member, mul_op)
 from .scalars import render_scalar
 
 ZERO = "0"
@@ -598,6 +598,15 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
     return LabeledChain._of(chain.dim, chain.field, p - 1, chain.degree, out)
 
 
+def _cut(memo: dict, box, m: WindowedOperator) -> WindowedOperator:
+    """`m.restrict(box)`, made once per module slot; `memo` holds the cuts
+    to `box` and lives as long as its caller keeps it."""
+    op = memo.get(m)
+    if op is None:
+        op = memo[m] = m.restrict(box)
+    return op
+
+
 def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
                targets=None) -> LabeledChain:
     """Contracting homotopy of the labeled tower, one level up.
@@ -617,14 +626,14 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
     full H, so the result is the full H with its other components dropped.
     A label that is not at level p+1 raises ValueError.
 
-    Work is shared within one call.  The projector fronts of the components
-    (one product P_1^{s_1}..P_n^{s_n} per target at level 0, the products
-    P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} above) and the fronts applied
-    to module slots go through a product table that is dropped on return,
-    so each distinct product is composed once and rebuilding a front costs
-    only table lookups.  The terms merge straight into one dict, which goes
-    to `LabeledChain._set`, so every module slot is still checked against
-    its label.
+    The projector fronts of the components (P_1^{s_1}..P_n^{s_n} per target
+    at level 0, P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} above) are boxes,
+    `idempotents.box(...)`, and a front applied to a module slot is the
+    slot's `restrict` to that box: no composition is made.  Each distinct
+    (box, module slot) pair is cut once, through a table of cuts that is
+    dropped on return; at level 0 every term shares the slot f_0.  The
+    terms merge straight into one dict, which goes to `LabeledChain._set`,
+    so every module slot is still checked against its label.
     """
     n = chain.dim
     idempotents = GoodIdempotents(n, chain.field) if idempotents is None else idempotents
@@ -639,19 +648,17 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
         stray = [label for label in targets if label not in labels]
         if stray:
             raise ValueError(f"targets {stray} are not labels at level {p + 1}")
-    mul = _product_table()
+    cuts: dict = {}     # box -> {module slot: the slot cut to the box}
     out: dict = {}
     if p == 0:
         fronts = []
         for label in targets:
-            front = idempotents.P(n, label[-1])
-            for axis0 in range(n - 2, -1, -1):
-                front = mul(idempotents.P(axis0 + 1, label[axis0]), front)
-            fronts.append((label, prod(map(sign_of, label)), front))
+            box = idempotents.box(label)
+            fronts.append((label, prod(map(sign_of, label)), box, cuts.setdefault(box, {})))
         for (_, tensor), coeff in chain.terms.items():
             m, rest = tensor[0], tensor[1:]
-            for label, sgn, front in fronts:
-                op = mul(front, m)
+            for label, sgn, box, memo in fronts:
+                op = _cut(memo, box, m)
                 if op:
                     _merge_term(out, (label, (op,) + rest), coeff * sgn)
         return LabeledChain._of(n, chain.field, 1, chain.degree, out)
@@ -667,14 +674,13 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
             matches = by_label.get(source)
             if not matches:
                 continue
-            # note: projectors commute, composition order is immaterial
             sign = (-1) ** (p + 1)
-            front = idempotents.P(b + 1, _opposite(gammas[b]))
-            for i in range(b - 1, -1, -1):
+            for i in range(b):
                 sign *= sign_of(target[i]) * sign_of(gammas[i])
-                front = mul(idempotents.P(i + 1, target[i]), front)
+            box = idempotents.box(target[:b] + (_opposite(gammas[b]),) + (None,) * (n - b - 1))
+            memo = cuts.setdefault(box, {})
             for tensor, coeff in matches:
-                new_m = mul(front, tensor[0])
+                new_m = _cut(memo, box, tensor[0])
                 if new_m:
                     _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * sign)
     return LabeledChain._of(n, chain.field, p + 1, chain.degree, out)
@@ -692,10 +698,12 @@ def _evaluator_idempotents(chain, idempotents) -> GoodIdempotents:
 
 
 def _bracket_factor(axis: int, op: WindowedOperator, idempotents: GoodIdempotents):
-    """sum_g (-1)^g P_axis^{-g} op P_axis^{g}; finite window on the axis."""
-    plus = idempotents.P(axis, PLUS)
-    minus = idempotents.P(axis, MINUS)
-    return (minus @ op @ plus) - (plus @ op @ minus)
+    """sum_g (-1)^g P_axis^{-g} op P_axis^{g}; finite window on the axis.
+    Each side is a cut of `op` to the projectors' boxes (`restrict`), so no
+    composition is made; `phi_hh_closed` keeps a per-call table of these."""
+    plus = idempotents.window(axis, PLUS)
+    minus = idempotents.window(axis, MINUS)
+    return op.restrict(minus, plus) - op.restrict(plus, minus)
 
 
 def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
@@ -793,8 +801,9 @@ def lambda_toeplitz(op: WindowedOperator) -> WindowedOperator:
     windowed operators this cannot fail and the guard is an assertion.
     """
     n = op.dim
-    plus_part = projector(n, n, PLUS, op.field) @ op
-    minus_part = projector(n, n, MINUS, op.field) @ op
+    idempotents = GoodIdempotents(n, op.field)
+    plus_part = op.restrict(idempotents.window(n, PLUS))
+    minus_part = op.restrict(idempotents.window(n, MINUS))
     if not ideal_member(minus_part, n, MINUS):
         raise DecompositionError("complementary part escapes I_n^-")
     if not ideal_member(plus_part, n, PLUS):
@@ -875,8 +884,9 @@ def commutator_formula(chain: LieChain, idempotents: GoodIdempotents = None):
                 for k in range(n, 0, -1):
                     g = gammas[k - 1]
                     gsign *= sign_of(g)
-                    inner = idempotents.P(k, g) @ op
-                    op = idempotents.P(k, _opposite(g)) @ fs[k - 1].commutator(inner)
+                    inner = op.restrict(idempotents.window(k, g))
+                    op = fs[k - 1].commutator(inner).restrict(
+                        idempotents.window(k, _opposite(g)))
                     if op.is_zero():
                         break
                 if op.is_zero():

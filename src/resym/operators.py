@@ -11,15 +11,22 @@ decidable and exact.
 Construction canonicalizes every operator: terms with one shift are refined
 onto the grid of their genuine discontinuities and merged, so structural
 equality coincides with equality of the underlying maps and operators can
-key dictionaries.  Terms from outside are validated once, by
-`WindowedOperator(...)`; `compose`, `+`, `-` and `scale` group the terms of
-canonical operands and pass them unchecked to the same `_canonicalize`.
+key dictionaries.  The hash is structural too: it reads the dimension and
+each term's shift and window, never a coefficient, so hashing a new
+operator costs no `Fraction.__hash__`.  Terms from outside are validated
+once, by `WindowedOperator(...)`; `compose`, `restrict`, `+`, `-` and
+`scale` group the terms of canonical operands and pass them unchecked to
+the same `_canonicalize`.
+
+A product of good idempotents P_1^{s_1}..P_k^{s_k} is one box with
+coefficient 1 and shift 0 (`GoodIdempotents.box`), so composing with it
+only cuts windows: `f.restrict(out_box, in_box)` equals P_out f P_in and
+multiplies no coefficient.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import chain, product
 from operator import add
 
@@ -219,9 +226,11 @@ class WindowedOperator:
                 and self.field == other.field and self.terms == other.terms)
 
     def __hash__(self):
+        # structural: equal operators have equal terms, and leaving the
+        # coefficients out spares a Fraction.__hash__ per term
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.dim, self.terms))
+            h = self._hash = hash((self.dim, tuple((s, w) for _, s, w in self.terms)))
         return h
 
     def sort_key(self):
@@ -277,6 +286,37 @@ class WindowedOperator:
         return self._from_groups(by_shift)
 
     __matmul__ = compose
+
+    def restrict(self, out_box=None, in_box=None) -> "WindowedOperator":
+        """P_out after self after P_in, where P_box keeps the monomials whose
+        exponent lies in `box` (a window of `dim` axis pairs; None cuts
+        nothing).  A term with shift s and window W keeps the window
+        W & in_box & (out_box - s), with its coefficient unchanged; the
+        result is canonicalized again, since a cut can make cells mergeable.
+        """
+        full = (FULL_AXIS,) * self.dim
+        out_box = full if out_box is None else out_box
+        in_box = full if in_box is None else in_box
+        if len(out_box) != self.dim or len(in_box) != self.dim:
+            raise DimensionMismatch("box arity does not match the dimension")
+        by_shift: dict = {}
+        for coeff, shift, window in self.terms:
+            cut = []
+            for (lo, hi), (ilo, ihi), (olo, ohi), d in zip(window, in_box, out_box, shift):
+                if ilo is not None and (lo is None or ilo > lo):
+                    lo = ilo
+                if ihi is not None and (hi is None or ihi < hi):
+                    hi = ihi
+                if olo is not None and (lo is None or olo - d > lo):
+                    lo = olo - d
+                if ohi is not None and (hi is None or ohi - d < hi):
+                    hi = ohi - d
+                if lo is not None and hi is not None and lo >= hi:
+                    break
+                cut.append((lo, hi))
+            else:
+                by_shift.setdefault(shift, []).append((coeff, tuple(cut)))
+        return self._from_groups(by_shift)
 
     def __mul__(self, other):
         if isinstance(other, WindowedOperator):
@@ -379,25 +419,22 @@ def mul_op(f: LaurentPoly) -> WindowedOperator:
     return WindowedOperator(f.dim, f.field, terms)
 
 
-@lru_cache(maxsize=256)
 def projector(dim: int, axis: int, sign: str, field=QQ, threshold: int = 0) -> WindowedOperator:
     """The good idempotent P_axis^sign (axis is 1-based).
 
     P^+ keeps monomials with exponent >= threshold on the axis, P^- its
-    complement; threshold 0 gives the standard projectors.  Results are
-    cached: operators are immutable values.
+    complement; threshold 0 gives the standard projectors.
     """
-    if not 1 <= axis <= dim:
-        raise DimensionMismatch(f"axis {axis} out of range for n={dim}")
-    if sign not in (PLUS, MINUS):
-        raise ValueError("sign must be '+' or '-'")
-    window = [FULL_AXIS] * dim
-    window[axis - 1] = (threshold, None) if sign == PLUS else (None, threshold)
-    return WindowedOperator.single(dim, 1, (0,) * dim, tuple(window), field)
+    return GoodIdempotents(dim, field, (threshold,) * dim).P(axis, sign)
 
 
 class GoodIdempotents:
-    """The commuting projector system P_1^+ .. P_n^+ (plus complements)."""
+    """The commuting projector system P_1^+ .. P_n^+ (plus complements).
+
+    `window` is the one primitive: the box of P_axis^sign, thresholds
+    included.  `box` intersects windows and `P` builds the operator of one,
+    so a subclass that overrides `window` changes all three.
+    """
 
     __slots__ = ("dim", "field", "thresholds")
 
@@ -408,8 +445,29 @@ class GoodIdempotents:
         if len(self.thresholds) != dim:
             raise DimensionMismatch("one threshold per axis required")
 
+    def window(self, axis: int, sign: str):
+        """The box of P_axis^sign: exponents >= the axis threshold for '+',
+        below it for '-', every other axis uncut."""
+        if not 1 <= axis <= self.dim:
+            raise DimensionMismatch(f"axis {axis} out of range for n={self.dim}")
+        if sign not in (PLUS, MINUS):
+            raise ValueError("sign must be '+' or '-'")
+        threshold = self.thresholds[axis - 1]
+        box = [FULL_AXIS] * self.dim
+        box[axis - 1] = (threshold, None) if sign == PLUS else (None, threshold)
+        return tuple(box)
+
+    def box(self, signs):
+        """The box of P_1^{s_1}..P_n^{s_n}, one sign per axis; an axis whose
+        sign is None or "0" is left uncut."""
+        if len(signs) != self.dim:
+            raise DimensionMismatch("one sign per axis required")
+        return tuple(FULL_AXIS if s is None or s == "0" else self.window(axis, s)[axis - 1]
+                     for axis, s in enumerate(signs, 1))
+
     def P(self, axis: int, sign: str) -> WindowedOperator:
-        return projector(self.dim, axis, sign, self.field, self.thresholds[axis - 1])
+        return WindowedOperator.single(self.dim, 1, (0,) * self.dim,
+                                       self.window(axis, sign), self.field)
 
 
 # -- ideal predicates and the trace -----------------------------------------

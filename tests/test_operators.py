@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resym import (QQ, DimensionMismatch, ExtensionField, LaurentPoly,
+from resym import (QQ, DimensionMismatch, ExtensionField, GoodIdempotents, LaurentPoly,
                    NotProvablyFinitePotent, PolyQ, WindowedOperator,
                    ideal_member, in_trace_ideal, is_finite_rank, mul_op,
                    projector, tate_trace)
@@ -386,6 +387,91 @@ def test_representations_are_equal_and_hash_alike_property(data):
     assert all(y == x for y in fresh) and late == x
     assert hash(late) == hash(x) == hash(fresh[0])
     assert {x: "x"}[late] == "x"
+
+
+# -- idempotents as boxes ---------------------------------------------------
+# A product of good idempotents is one box; `restrict` cuts windows to it
+# instead of composing.  The projector products below are composed from
+# single `P`s, so the boxes are checked too.
+
+def _projector_product(idem, signs):
+    """P_1^{s_1} .. P_n^{s_n} by composition; an axis with sign None is uncut."""
+    op = WindowedOperator.identity(idem.dim, idem.field)
+    for axis, s in enumerate(signs, 1):
+        if s is not None:
+            op = op @ idem.P(axis, s)
+    return op
+
+
+@LAWS
+@given(st.data())
+def test_restrict_equals_composition_property(data):
+    dim, field = _space(data)
+    f = _operator(data, dim, field)
+    thresholds = data.draw(st.tuples(*[st.integers(-2, 2)] * dim))
+    idem = GoodIdempotents(dim, field, thresholds)
+    vectors = list(product(("+", "-", None), repeat=dim))
+    for signs in vectors:
+        box = idem.box(signs)
+        P = _projector_product(idem, signs)
+        assert P == WindowedOperator.single(dim, 1, (0,) * dim, box, field)
+        other = data.draw(st.sampled_from(vectors))
+        Q = _projector_product(idem, other)
+        for got, want in ((f.restrict(box), P @ f), (f.restrict(None, box), f @ P),
+                          (f.restrict(box, idem.box(other)), P @ f @ Q)):
+            assert got == want and hash(got) == hash(want)
+
+
+def test_restrict_can_empty_and_merge():
+    for field in (QQ, GAUSS):
+        # output exponents [3, 5): a cut below 3 on the output side empties
+        # the operator, the same cut on the input side keeps all of it
+        up = WindowedOperator.single(1, 2, (3,), ((0, 2),), field)
+        below = GoodIdempotents(1, field, (3,)).window(1, "-")
+        assert up.restrict(below).is_zero() and (projector(1, 1, "-", field, 3) @ up).is_zero()
+        assert up.restrict(None, below) == up
+        # 1 on [0,4)x[0,1) and on [0,2)x[1,2) takes three canonical cells;
+        # cut to the second exponent < 1 it is one box, and the cells merge
+        steps = WindowedOperator(2, field, [(1, (0, 0), ((0, 4), (0, 1))),
+                                            (1, (0, 0), ((0, 2), (1, 2)))])
+        assert len(steps.terms) == 3
+        box = GoodIdempotents(2, field, (0, 1)).box((None, "-"))
+        cut = steps.restrict(box)
+        assert cut == WindowedOperator.single(2, 1, (0, 0), ((0, 4), (0, 1)), field)
+        assert cut == projector(2, 2, "-", field, 1) @ steps
+    with pytest.raises(DimensionMismatch):
+        GoodIdempotents(2).box(("+",))
+    with pytest.raises(DimensionMismatch):
+        WindowedOperator.identity(2).restrict(((0, None),))
+
+
+def test_hash_is_structural(monkeypatch):
+    for field in (QQ, GAUSS):
+        one = WindowedOperator(2, field, [(1, (1, 0), ((0, None), (None, 3))),
+                                          (2, (0, 0), ((None, 0), (None, None)))])
+        other = WindowedOperator(2, field, [(1, (1, 0), ((0, None), (None, 3))),
+                                            (3, (0, 0), ((None, 0), (None, None)))])
+        # one coefficient apart: unequal, alike in hash, two keys all the same
+        assert one != other and hash(one) == hash(other)
+        keys = {one: "one", other: "other"}
+        assert len(keys) == 2 and keys[one] == "one" and keys[other] == "other"
+        # restrict and compose build equal operators that hash alike
+        idem = GoodIdempotents(2, field, (1, -1))
+        box = idem.box(("-", "+"))
+        P = idem.P(1, "-") @ idem.P(2, "+")
+        for op in (one, other):
+            assert op.restrict(box, box) == P @ op @ P
+            assert hash(op.restrict(box, box)) == hash(P @ op @ P)
+    # no coefficient is hashed
+    def refused(self):
+        raise AssertionError("Fraction.__hash__ called")
+    fresh = WindowedOperator(1, QQ, [(Fraction(1, 3), (0,), ((0, 2),))])
+    monkeypatch.setattr(Fraction, "__hash__", refused)
+    assert hash(fresh) == hash(WindowedOperator(1, QQ, [(5, (0,), ((0, 2),))]))
+    monkeypatch.undo()
+    # projectors are built over the field they are asked for
+    gauss = ExtensionField(PolyQ((1, 0, 1)))
+    assert gauss == GAUSS and projector(1, 1, "+", gauss).field is gauss
 
 
 # -- validation at the boundary ---------------------------------------------
