@@ -115,6 +115,13 @@ class _ChainBase:
     def _shape(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__[:-1])
 
+    @staticmethod
+    def _check_slots(dim: int, field, slots):
+        """Refuse outside input whose slots act on another algebra."""
+        for slot in slots:
+            if slot.dim != dim or slot.field != field:
+                raise FieldMismatch("slot operator over a different algebra")
+
     def _like(self, terms):
         return self._of(*self._shape(), terms)
 
@@ -170,9 +177,7 @@ class HochschildChain(_ChainBase):
             coeff = field.coerce(coeff)
             if not coeff or any(slot.is_zero() for slot in tensor):
                 continue
-            for slot in tensor:
-                if slot.dim != dim or slot.field != field:
-                    raise FieldMismatch("slot operator over a different algebra")
+            self._check_slots(dim, field, tensor)
             _merge_term(cleaned, tensor, coeff)
         self._set(dim, field, degree, cleaned)
 
@@ -196,9 +201,10 @@ class LieChain(_ChainBase):
     """Formal sum m (x) f_1 ^ .. ^ f_r, wedge slots kept sorted with sign.
 
     `m` is None for trivial coefficients.  `LieChain(...)` checks the
-    arity, coerces, drops zero terms, sorts each wedge (a repeated slot
-    cancels it to zero) and merges, then hands the terms to `_set`; `+`,
-    `-` and `scale` merge already sorted wedges and go to `_set` directly.
+    arity and the algebra of `m` and the slots, coerces, drops zero terms,
+    sorts each wedge (a repeated slot cancels it to zero) and merges, then
+    hands the terms to `_set`; `+`, `-` and `scale` merge already sorted
+    wedges and go to `_set` directly.
     """
 
     __slots__ = ("dim", "field", "degree", "terms")
@@ -214,6 +220,7 @@ class LieChain(_ChainBase):
                 continue
             if m is not None and m.is_zero():
                 continue
+            self._check_slots(dim, field, slots if m is None else (m, *slots))
             normal = _wedge_sort(slots)
             if normal is None:
                 continue
@@ -264,11 +271,12 @@ class LabeledChain(_ChainBase):
     construction enforces this, which is what catches sign-convention bugs
     early.  Level 0 terms carry the label None and are unconstrained.
 
-    There is one validation path.  `LabeledChain(...)` checks the shapes
-    and levels of outside input, coerces coefficients, drops zero terms and
-    merges; `_set` then checks each distinct (module slot, label) pair of
-    the merged terms once.  `hochschild_b`, `homotopy_H` and `n_partial`
-    pass their merged output to `_set`, so their terms are checked too.
+    There is one validation path.  `LabeledChain(...)` checks the shapes,
+    levels and slot algebras of outside input, coerces coefficients, drops
+    zero terms and merges; `_set` then checks each distinct (module slot,
+    label) pair of the merged terms once.  `hochschild_b`, `homotopy_H`
+    and `n_partial` pass their merged output to `_set`, so their terms are
+    checked too.
     """
 
     __slots__ = ("dim", "field", "level", "degree", "terms")
@@ -284,6 +292,7 @@ class LabeledChain(_ChainBase):
             coeff = field.coerce(coeff)
             if not coeff or any(s.is_zero() for s in tensor):
                 continue
+            self._check_slots(dim, field, tensor)
             _merge_term(cleaned, (label, tensor), coeff)
         self._set(dim, field, level, degree, cleaned)
 

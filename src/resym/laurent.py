@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, FieldMismatch, PrecisionError, ValuationError
 from .polynomials import binary_power
-from .scalars import QQ, render_scalar
+from .scalars import QQ, integral, render_scalar
 
 
 # Stand-in certificate for data that is exact at every order (finite
@@ -39,7 +39,7 @@ class LaurentPoly:
         cleaned = {}
         if coeffs:
             for exps, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(integral(e) for e in exps)
                 if len(exps) != dim:
                     raise DimensionMismatch(f"exponent {exps} has wrong length for n={dim}")
                 c = field.coerce(c)
@@ -201,7 +201,7 @@ class TruncatedSeries:
         cleaned = {}
         if coeffs:
             for exps, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(integral(e) for e in exps)
                 if len(exps) != dim:
                     raise DimensionMismatch(f"exponent {exps} has wrong length for n={dim}")
                 if sum(exps) >= order:

@@ -32,7 +32,7 @@ from operator import add
 
 from .errors import (DimensionMismatch, FieldMismatch, NotProvablyFinitePotent)
 from .laurent import LaurentPoly
-from .scalars import QQ, render_scalar, scalar_key
+from .scalars import QQ, integral, render_scalar, scalar_key
 
 PLUS = "+"
 MINUS = "-"
@@ -140,15 +140,6 @@ def grid_coordinates(ops):
     return vectors
 
 
-def _integral(value) -> int:
-    """`value` as an int: True and Fraction(14, 2) convert, while 2.5,
-    Fraction(5, 2) and "3" are refused instead of truncated."""
-    i = int(value)
-    if i != value:
-        raise ValueError(f"not an integer: {value!r}")
-    return i
-
-
 def _by_shift(terms) -> dict:
     """(coeff, shift, window) terms as {shift: [(coeff, window)]}, zeros dropped."""
     by_shift: dict = {}
@@ -168,9 +159,9 @@ class WindowedOperator:
         checked = []
         for coeff, shift, window in terms:
             coeff = field.coerce(coeff)
-            shift = tuple(_integral(s) for s in shift)
-            window = tuple((None if lo is None else _integral(lo),
-                            None if hi is None else _integral(hi)) for lo, hi in window)
+            shift = tuple(integral(s) for s in shift)
+            window = tuple((None if lo is None else integral(lo),
+                            None if hi is None else integral(hi)) for lo, hi in window)
             if len(shift) != dim or len(window) != dim:
                 raise DimensionMismatch("term arity does not match the dimension")
             if all(lo is None or hi is None or lo < hi for lo, hi in window):

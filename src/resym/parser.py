@@ -3,15 +3,19 @@
 Laurent polynomials:  expr := term (('+'|'-') term)*,
 term := factor ('*' factor)*, factor := base ('^' int)?, where a base is a
 rational literal, an extension-field element in parentheses (polynomial in
-the declared generator), or a variable t / t1 / t2 / ...  Differential
-forms append d-blocks joined by the wedge '^':  [expr] d(expr) ^ d(expr).
+the declared generator), or a variable t / t1 / t2 / ...  A term is one
+monomial, parsed straight into one coefficient and one exponent vector,
+and one LaurentPoly takes all the terms of a sum.  Differential forms
+append d-blocks joined by the wedge '^':  [expr] d(expr) ^ d(expr).
 Rational functions in one variable allow the four operations with the
-usual precedence and parentheses.  Whitespace is ignored everywhere and
-errors carry byte offsets.
+usual precedence and parentheses.  Literals and exponents are ASCII
+digits.  Whitespace is ignored everywhere and errors carry character
+offsets into the text.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -20,52 +24,27 @@ from .polynomials import PolyQ
 from .residue import RationalFunction
 from .scalars import QQ, ExtensionField
 
-_SYMBOLS = "+-*/^()"
+# One token per match: ASCII digits, a word, a symbol, or any other
+# non-space character (refused).  Whitespace between matches is skipped.
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>\w+)|(?P<sym>[-+*/^()])|(?P<bad>\S)")
+_VARIABLE = re.compile(r"t([0-9]*)")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, text, offset) tuples ending in an "end" token; a symbol is its
+    own kind.  A word must start with a letter."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(i, f"a token, not {ch!r}")
-    tokens.append(_Token("end", "", len(text)))
+    for m in _TOKEN.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad" or (kind == "name" and not word[0].isalpha()):
+            raise ParseError(pos, f"a token, not {word[0]!r}")
+        tokens.append((word if kind == "sym" else kind, word, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, dim: int, field=QQ):
-        self.text = text
         self.dim = dim
         self.field = field
         self.tokens = _tokenize(text)
@@ -73,75 +52,85 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead=0) -> _Token:
+    def peek(self, ahead=0) -> tuple:
         return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.k]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.k += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.pos, f"'{kind}'")
+        if tok[0] != kind:
+            raise ParseError(tok[2], f"'{kind}'")
         return self.next()
 
     def fail(self, expected: str):
-        raise ParseError(self.peek().pos, expected)
+        raise ParseError(self.peek()[2], expected)
 
     # -- shared pieces ---------------------------------------------------------
 
-    def signed_int(self) -> int:
+    def power(self) -> int:
+        """The exponent of an optional '^' ['-'] digits suffix; 1 without one."""
+        if self.peek()[0] != "^":
+            return 1
+        self.next()
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.next()
             sign = -1
-        tok = self.expect("num")
-        return sign * int(tok.text)
+        if self.peek()[0] != "num":
+            self.fail("an integer exponent")
+        return sign * int(self.next()[1])
 
     def rational_literal(self) -> Fraction:
-        tok = self.expect("num")
-        value = Fraction(int(tok.text))
-        if self.peek().kind == "/" and self.peek(1).kind == "num":
+        _, text, pos = self.next()
+        value = Fraction(int(text))
+        if self.peek()[0] == "/" and self.peek(1)[0] == "num":
             self.next()
-            den = int(self.next().text)
+            den = int(self.next()[1])
             if den == 0:
-                raise ParseError(tok.pos, "a nonzero denominator")
+                raise ParseError(pos, "a nonzero denominator")
             value /= den
         return value
 
-    def variable_axis(self, tok: _Token) -> int:
-        name = tok.text
-        if name == "t":
-            return 1
-        if name.startswith("t") and name[1:].isdigit():
-            axis = int(name[1:])
-            if 1 <= axis <= self.dim:
-                return axis
-            raise ParseError(tok.pos, f"a variable t1..t{self.dim}")
-        raise ParseError(tok.pos, "a variable like t or t1")
+    def variable_axis(self) -> int:
+        _, name, pos = self.next()
+        match = _VARIABLE.fullmatch(name)
+        if not match:
+            raise ParseError(pos, "a variable like t or t1")
+        axis = int(match[1] or 1)
+        if not 1 <= axis <= self.dim:
+            raise ParseError(pos, f"a variable t1..t{self.dim}")
+        return axis
+
+    def signed_terms(self, term):
+        """[-] term (('+'|'-') term)*, with `term` parsing one operand;
+        yields (negative, operand) pairs."""
+        negative = self.peek()[0] == "-"
+        if negative:
+            self.next()
+        yield negative, term()
+        while self.peek()[0] in ("+", "-"):
+            negative = self.next()[0] == "-"
+            yield negative, term()
 
     def signed_sum(self, term):
-        """[-] term (('+'|'-') term)*, with `term` parsing one operand."""
-        negate = self.peek().kind == "-"
-        if negate:
-            self.next()
-        value = term()
-        if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = term()
-            value = value + rhs if op == "+" else value - rhs
+        """The signed terms, summed left to right."""
+        terms = self.signed_terms(term)
+        negative, value = next(terms)
+        value = -value if negative else value
+        for negative, rhs in terms:
+            value = value - rhs if negative else value + rhs
         return value
 
     def product(self, factor, ops=("*",)):
         """factor (op factor)* for op in `ops` ('*', and '/' if allowed)."""
         value = factor()
-        while self.peek().kind in ops:
-            op = self.next().kind
+        while self.peek()[0] in ops:
+            op = self.next()[0]
             rhs = factor()
             value = value * rhs if op == "*" else value / rhs
         return value
@@ -152,52 +141,57 @@ class _Parser:
         return self.signed_sum(lambda: self.product(self.scalar_factor))
 
     def scalar_factor(self):
-        tok = self.peek()
-        if tok.kind == "num":
+        kind, text, _ = self.peek()
+        if kind == "num":
             base = self.field.coerce(self.rational_literal())
-        elif (tok.kind == "name" and isinstance(self.field, ExtensionField)
-              and tok.text == self.field.symbol):
+        elif (kind == "name" and isinstance(self.field, ExtensionField)
+              and text == self.field.symbol):
             self.next()
             base = self.field.generator
         else:
             self.fail("a scalar")
-        if self.peek().kind == "^":
-            self.next()
-            base = base ** self.signed_int()
-        return base
+        return base ** self.power()
 
     # -- Laurent polynomials --------------------------------------------------
 
     def laurent_expr(self) -> LaurentPoly:
-        return self.signed_sum(lambda: self.product(self.laurent_factor))
+        """One LaurentPoly for all the terms; it merges equal monomials."""
+        return LaurentPoly(self.dim, self.field, [
+            (exps, -coeff if negative else coeff)
+            for negative, (exps, coeff) in self.signed_terms(self.laurent_term)])
 
-    def laurent_factor(self) -> LaurentPoly:
-        tok = self.peek()
-        if tok.kind == "num":
-            base = LaurentPoly.constant(self.dim, self.rational_literal(), self.field)
-        elif tok.kind == "(":
+    def laurent_term(self) -> tuple:
+        """factor ('*' factor)* as one monomial (exponents, coefficient): the
+        scalar factors multiply into one coefficient and each variable's
+        exponent adds into one vector."""
+        coeff, exps = None, [0] * self.dim
+        while True:
+            kind = self.peek()[0]
+            if kind == "name":
+                axis = self.variable_axis()
+                exps[axis - 1] += self.power()
+            else:
+                if kind == "num":
+                    value = self.rational_literal()
+                elif kind == "(":
+                    self.next()
+                    value = self.scalar_expr()
+                    self.expect(")")
+                else:
+                    self.fail("a coefficient or variable")
+                k = self.power()
+                if k < 0 and not value:
+                    raise ZeroDivisionError("zero to a negative power")
+                value = value ** k
+                coeff = value if coeff is None else coeff * value
+            if self.peek()[0] != "*":
+                return tuple(exps), 1 if coeff is None else coeff
             self.next()
-            scalar = self.scalar_expr()
-            self.expect(")")
-            base = LaurentPoly.constant(self.dim, scalar, self.field)
-        elif tok.kind == "name":
-            axis = self.variable_axis(tok)
-            self.next()
-            base = LaurentPoly.variable(self.dim, axis, self.field)
-        else:
-            self.fail("a coefficient or variable")
-        if self.peek().kind == "^":
-            self.next()
-            if self.peek().kind not in ("num", "-"):
-                self.fail("an integer exponent")
-            base = base ** self.signed_int()
-        return base
 
     # -- differential forms -----------------------------------------------------
 
     def at_d_block(self) -> bool:
-        return (self.peek().kind == "name" and self.peek().text == "d"
-                and self.peek(1).kind == "(")
+        return self.peek()[:2] == ("name", "d") and self.peek(1)[0] == "("
 
     def d_block(self) -> LaurentPoly:
         self.expect("name")
@@ -214,7 +208,7 @@ class _Parser:
         if not self.at_d_block():
             self.fail("a d(...) block")
         args = [self.d_block()]
-        while self.peek().kind == "^":
+        while self.peek()[0] == "^":
             self.next()
             if not self.at_d_block():
                 self.fail("a d(...) block after '^'")
@@ -228,23 +222,21 @@ class _Parser:
 
     def rf_power(self) -> RationalFunction:
         base = self.rf_atom()
-        if self.peek().kind == "^":
-            self.next()
-            k = self.signed_int()
-            # num and den are coprime, so their powers are too.
-            num, den = base.num ** abs(k), base.den ** abs(k)
-            base = RationalFunction(num, den) if k >= 0 else RationalFunction(den, num)
-        return base
+        k = self.power()
+        if k == 1:
+            return base
+        # num and den are coprime, so their powers are too.
+        num, den = base.num ** abs(k), base.den ** abs(k)
+        return RationalFunction(num, den) if k >= 0 else RationalFunction(den, num)
 
     def rf_atom(self) -> RationalFunction:
-        tok = self.peek()
-        if tok.kind == "num":
-            num = self.rational_literal()
-            return RationalFunction(PolyQ.constant(num))
-        if tok.kind == "name" and tok.text == "t":
+        kind, text, _ = self.peek()
+        if kind == "num":
+            return RationalFunction(PolyQ.constant(self.rational_literal()))
+        if kind == "name" and text == "t":
             self.next()
             return RationalFunction(PolyQ.x())
-        if tok.kind == "(":
+        if kind == "(":
             self.next()
             inner = self.rf_expr()
             self.expect(")")
@@ -252,9 +244,8 @@ class _Parser:
         self.fail("a number, t, or '('")
 
     def finish(self, value):
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(tok.pos, "end of input")
+        if self.peek()[0] != "end":
+            self.fail("end of input")
         return value
 
 
@@ -292,52 +283,43 @@ def parse_extension_modulus(text: str) -> PolyQ:
     symbol = ExtensionField.symbol
 
     def factor() -> PolyQ:
-        tok = p.peek()
-        if tok.kind == "num":
+        kind, word, pos = p.peek()
+        if kind == "num":
             base = PolyQ.constant(p.rational_literal())
-        elif tok.kind == "name" and tok.text == symbol:
+        elif kind == "name" and word == symbol:
             p.next()
             base = PolyQ.x()
         else:
             p.fail(f"a rational or {symbol}")
-        if p.peek().kind == "^":
-            p.next()
-            k = p.signed_int()
-            if k < 0:
-                raise ParseError(tok.pos, "a nonnegative exponent")
-            base = base ** k
-        return base
+        k = p.power()
+        if k < 0:
+            raise ParseError(pos, "a nonnegative exponent")
+        return base ** k
 
     return p.finish(p.signed_sum(lambda: p.product(factor)))
 
 
 def number_of_variables(text: str) -> int:
     """Largest variable index mentioned; plain t counts as t1."""
-    best = 0
-    for tok in _tokenize(text):
-        if tok.kind == "name" and tok.text.startswith("t"):
-            if tok.text == "t":
-                best = max(best, 1)
-            elif tok.text[1:].isdigit():
-                best = max(best, int(tok.text[1:]))
-    return best
+    matches = (_VARIABLE.fullmatch(word) for _, word, _ in _tokenize(text))
+    return max((int(m[1] or 1) for m in matches if m), default=0)
 
 
 def parse_expression(text: str, dim: int = None, field=QQ):
     """Dispatching parser: differential form, Laurent polynomial, or
     rational function, decided by the shape of the input."""
     tokens = _tokenize(text)
-    has_d = any(t.kind == "name" and t.text == "d" and tokens[i + 1].kind == "("
-                for i, t in enumerate(tokens[:-1]))
+    kinds = [kind for kind, _, _ in tokens]
+    has_d = any(tok[:2] == ("name", "d") and after == "("
+                for tok, after in zip(tokens, kinds[1:]))
     if dim is None:
         dim = max(1, number_of_variables(text))
     if has_d:
         return parse_form(text, dim, field)
     slashes_outside_literals = any(
-        t.kind == "/" and not (tokens[i - 1].kind == "num" and tokens[i + 1].kind == "num")
-        for i, t in enumerate(tokens) if 0 < i < len(tokens) - 1)
-    has_parens = any(t.kind == "(" for t in tokens)
-    if (slashes_outside_literals or has_parens) and not isinstance(field, ExtensionField):
+        kinds[i] == "/" and (kinds[i - 1], kinds[i + 1]) != ("num", "num")
+        for i in range(1, len(kinds) - 1))
+    if (slashes_outside_literals or "(" in kinds) and not isinstance(field, ExtensionField):
         return parse_rational_function(text)
     return parse_laurent(text, dim, field)
 

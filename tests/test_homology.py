@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from resym import (DifferentialForm, ExtensionField, GoodIdempotents,
+from resym import (DifferentialForm, ExtensionField, FieldMismatch, GoodIdempotents,
                    HochschildChain, LabeledChain, LaurentPoly, LieChain,
                    MembershipError, NotACycle, PolyQ, QQ, WindowedOperator,
                    ce_delta, chain_is_zero, chains_equal, commutator_formula,
@@ -359,6 +359,23 @@ def test_chain_equality_needs_type_shape_and_terms():
     assert LabeledChain(2, QQ, 1, 1) != LabeledChain(2, QQ, 2, 1)
     assert LieChain(2, QQ, 1) != LieChain(2, ext, 1)
     assert LieChain(2, QQ, 1) != LieChain(1, QQ, 1)
+
+
+@pytest.mark.parametrize("mismatch", ["field", "dim"])
+@pytest.mark.parametrize("build", [
+    lambda a, b: HochschildChain(1, QQ, 1, [((a, b), 1)]),
+    lambda a, b: LabeledChain(1, QQ, 0, 1, [((None, (a, b)), 1)]),
+    lambda a, b: LieChain(1, QQ, 1, [((a, (b,)), 1)]),
+], ids=["hochschild", "labeled", "lie"])
+def test_chain_constructors_refuse_slots_over_another_algebra(build, mismatch):
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    good = mul_op(t() + LaurentPoly.constant(1, 1))
+    other = (mul_op(LaurentPoly.variable(1, 1, ext)) if mismatch == "field"
+             else mul_op(LaurentPoly.variable(2, 2)))
+    assert not build(good, mul_op(t())).is_empty()
+    for a, b in ((other, good), (good, other)):
+        with pytest.raises(FieldMismatch):
+            build(a, b)
 
 
 # -- residue functionals -------------------------------------------------------

@@ -19,6 +19,20 @@ def t(dim=1, axis=1):
     return LaurentPoly.variable(dim, axis)
 
 
+def test_constructors_take_only_integral_exponents():
+    """Integral values convert; anything else is refused instead of truncated."""
+    for ok in (True, Fraction(4, 2)):
+        assert LaurentPoly(1, QQ, {(ok,): 3}) == LaurentPoly.monomial(1, (int(ok),), 3)
+        assert TruncatedSeries(1, 5, QQ, {(ok,): 3}).coeffs == {(int(ok),): 3}
+    for bad in (1.5, Fraction(5, 2), "3"):
+        with pytest.raises(ValueError):
+            LaurentPoly(1, QQ, {(bad,): 1})
+        with pytest.raises(ValueError):
+            TruncatedSeries(1, 5, QQ, {(bad,): 1})
+        with pytest.raises(ValueError):
+            LaurentPoly(2, QQ, [((0, bad), 1)])
+
+
 def test_monomial_inverse_cancels():
     tinv = LaurentPoly.monomial(1, (-1,))
     assert tinv * t() == LaurentPoly.constant(1, 1)

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from resym import (DifferentialForm, ExtensionField, LaurentPoly, ParseError,
+from resym import (QQ, DifferentialForm, ExtensionField, LaurentPoly, ParseError,
                    PolyQ, RationalFunction, parse_expression,
                    parse_extension_modulus, parse_form, parse_laurent,
                    parse_rational_function, render_form, render_laurent)
 from resym.cli import main
-from resym.verify import rand_laurent, rand_rational_function
+from resym.verify import rand_fraction, rand_laurent, rand_rational_function
 
 
 def test_parse_form_example():
@@ -61,6 +61,13 @@ def test_modulus_parser():
     assert parse_extension_modulus("x^3-x-2") == PolyQ((-2, -1, 0, 1))
 
 
+def _rand_ext_laurent(rng, dim, field):
+    poly = rand_laurent(rng, dim, field, terms=rng.randint(1, 3))
+    exps = tuple(rng.randint(-3, 3) for _ in range(dim))
+    coeff = field.element((rand_fraction(rng), rand_fraction(rng, nonzero=True)))
+    return poly + LaurentPoly(dim, field, {exps: coeff})
+
+
 def test_roundtrip_corpus():
     rng = random.Random(55)
     field = ExtensionField(PolyQ((1, 0, 1)))
@@ -80,11 +87,69 @@ def test_roundtrip_corpus():
                                 [rand_laurent(rng, dim) for _ in range(dim)])
         assert parse_form(render_form(form), dim) == form
         count += 1
+    for dim in (3, 4):
+        for _ in range(10):
+            form = DifferentialForm(rand_laurent(rng, dim, terms=rng.randint(1, 4)),
+                                    [rand_laurent(rng, dim, terms=rng.randint(1, 3))
+                                     for _ in range(dim)])
+            assert parse_form(render_form(form), dim) == form
+            count += 1
+    for dim in (1, 2, 3, 4):
+        for _ in range(5):
+            poly = _rand_ext_laurent(rng, dim, field)
+            assert parse_laurent(render_laurent(poly), dim, field) == poly
+            form = DifferentialForm(_rand_ext_laurent(rng, dim, field),
+                                    [_rand_ext_laurent(rng, dim, field) for _ in range(dim)])
+            assert parse_form(render_form(form), dim, field) == form
+            count += 2
     ext_poly = LaurentPoly(1, field, {(-2,): field.element((1, 1)),
                                       (0,): field.element((0, 3))})
     assert parse_laurent(render_laurent(ext_poly), 1, field) == ext_poly
     count += 1
-    assert count >= 50
+    assert count >= 110
+
+
+def test_non_ascii_input_fails_at_its_character_offset(capsys):
+    """Literals and exponents are ASCII digits; another digit, such as a
+    superscript, is refused where it stands instead of reaching int().
+    Offsets count characters, not UTF-8 bytes."""
+    for text, offset in (("t^\u00b2 d(t)", 2), ("\u00b2*t^-1 d(t)", 0),
+                         ("t^-1*2\u00b2 d(t)", 6), ("t\u00b2 d(t)", 0),
+                         ("t^\u0663 d(t)", 2), ("\u00a0\u00a0\u00e9 d(t)", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_form(text, 1)
+        assert err.value.offset == offset
+        code, (payload,) = run_cli(capsys, "res", text)
+        assert code == 1 and payload["kind"] == "ParseError" and payload["offset"] == offset
+    code, (payload,) = run_cli(capsys, "expand", "1/(t^2+1)", "--place", "t^\u00b2+1")
+    assert code == 1 and payload["kind"] == "ParseError" and payload["offset"] == 2
+    with pytest.raises(ParseError) as err:
+        parse_extension_modulus("x^\u00b2+1")
+    assert err.value.offset == 2
+
+
+@pytest.mark.parametrize("text, n, ext, terms", [
+    ("3/2*t1^-1*t2^-2*t3 - t1*t3^2 d(t1 + 2*t2^2) ^ d(t2 - t1*t3) ^ d(t3 + t1^-1*t2)",
+     3, None, 8),
+    ("(1+x)*t1^-1*t2^-1*t3^-1*t4^-1 - (2*x)*t4 d(t1 + (x)*t2^2) ^ d(t2 - 3*t1*t3)"
+     " ^ d(t3^2 + (1-x)^-1*t4) ^ d(t4 - t1^-1*t2*(x)^3)", 4, "x^2+1", 10),
+])
+def test_parse_form_builds_few_laurent_polys(monkeypatch, text, n, ext, terms):
+    """At most three LaurentPolys per term; the parser builds one per sum."""
+    field = ExtensionField(parse_extension_modulus(ext)) if ext else QQ
+    built = 0
+    init = LaurentPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(LaurentPoly, "__init__", counting)
+    form = parse_form(text, n, field)
+    monkeypatch.undo()
+    assert sum(len(g.coeffs) for g in (form.f0, *form.args)) == terms
+    assert built <= 3 * terms
+    assert built == n + 1
 
 
 # -- CLI ------------------------------------------------------------------------
