@@ -42,7 +42,7 @@ class UnsupportedFactorization(ResymError):
 
 
 class ParseError(ResymError):
-    """Malformed input text.  Carries the byte offset and what was expected."""
+    """Malformed input text.  Carries the character offset and what was expected."""
 
     def __init__(self, offset: int, expected: str):
         self.offset = offset

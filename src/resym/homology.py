@@ -19,8 +19,10 @@ The coordinates that basis is computed from come from
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import prod
+from operator import matmul
 
 from .errors import (DecompositionError, DimensionMismatch, FieldMismatch,
                      MembershipError, NotACycle)
@@ -300,12 +302,9 @@ class LabeledChain(_ChainBase):
         """Check every module slot against its label, then `_ChainBase._set`.
         `terms` maps (label at `level`, tensor of `degree + 1` nonzero
         operators) to nonzero elements of `field`."""
-        checked = set()
+        check = cache(_validate_label)
         for label, tensor in terms:
-            pair = (tensor[0], label)
-            if label is not None and pair not in checked:
-                _validate_label(tensor[0], label)
-                checked.add(pair)
+            check(tensor[0], label)
         return super()._set(dim, field, level, degree, terms)
 
     @classmethod
@@ -436,20 +435,6 @@ def chains_equal(a, b) -> bool:
 # -- differentials and comparison maps ---------------------------------------
 
 
-def _product_table():
-    """`mul(a, b) == a @ b`, composing each distinct pair once; the table
-    lives as long as `mul`, which its callers drop on return."""
-    table: dict = {}
-
-    def mul(a, b):
-        key = (a, b)
-        p = table.get(key)
-        if p is None:
-            p = table[key] = a @ b
-        return p
-    return mul
-
-
 def hochschild_b(chain):
     """The Hochschild differential b.
 
@@ -458,14 +443,14 @@ def hochschild_b(chain):
     compositions.  Labels, when present, ride along unchanged.
 
     Each distinct product of two slots is composed once per call, through a
-    product table that is dropped on return.  The terms merge straight into
+    `cache` of `@` that is dropped on return.  The terms merge straight into
     one dict, which goes to the chain's `_set`: a labeled output still has
     every module slot checked against its label.
     """
     labeled = isinstance(chain, LabeledChain)
     if chain.degree < 1:
         raise ValueError("hochschild_b needs degree >= 1")
-    mul = _product_table()
+    mul = cache(matmul)
     out: dict = {}
 
     def put(label, tensor, c):
@@ -607,15 +592,6 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
     return LabeledChain._of(chain.dim, chain.field, p - 1, chain.degree, out)
 
 
-def _cut(memo: dict, box, m: WindowedOperator) -> WindowedOperator:
-    """`m.restrict(box)`, made once per module slot; `memo` holds the cuts
-    to `box` and lives as long as its caller keeps it."""
-    op = memo.get(m)
-    if op is None:
-        op = memo[m] = m.restrict(box)
-    return op
-
-
 def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
                targets=None) -> LabeledChain:
     """Contracting homotopy of the labeled tower, one level up.
@@ -639,7 +615,7 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
     at level 0, P_1^{s_1}..P_b^{s_b} P_{b+1}^{-g_{b+1}} above) are boxes,
     `idempotents.box(...)`, and a front applied to a module slot is the
     slot's `restrict` to that box: no composition is made.  Each distinct
-    (box, module slot) pair is cut once, through a table of cuts that is
+    (module slot, box) pair is cut once, through a `cache` of `restrict`
     dropped on return; at level 0 every term shares the slot f_0.  The
     terms merge straight into one dict, which goes to `LabeledChain._set`,
     so every module slot is still checked against its label.
@@ -657,17 +633,15 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
         stray = [label for label in targets if label not in labels]
         if stray:
             raise ValueError(f"targets {stray} are not labels at level {p + 1}")
-    cuts: dict = {}     # box -> {module slot: the slot cut to the box}
+    cut = cache(WindowedOperator.restrict)
     out: dict = {}
     if p == 0:
-        fronts = []
-        for label in targets:
-            box = idempotents.box(label)
-            fronts.append((label, prod(map(sign_of, label)), box, cuts.setdefault(box, {})))
+        fronts = [(label, prod(map(sign_of, label)), idempotents.box(label))
+                  for label in targets]
         for (_, tensor), coeff in chain.terms.items():
             m, rest = tensor[0], tensor[1:]
-            for label, sgn, box, memo in fronts:
-                op = _cut(memo, box, m)
+            for label, sgn, box in fronts:
+                op = cut(m, box)
                 if op:
                     _merge_term(out, (label, (op,) + rest), coeff * sgn)
         return LabeledChain._of(n, chain.field, 1, chain.degree, out)
@@ -687,9 +661,8 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
             for i in range(b):
                 sign *= sign_of(target[i]) * sign_of(gammas[i])
             box = idempotents.box(target[:b] + (_opposite(gammas[b]),) + (None,) * (n - b - 1))
-            memo = cuts.setdefault(box, {})
             for tensor, coeff in matches:
-                new_m = _cut(memo, box, tensor[0])
+                new_m = cut(tensor[0], box)
                 if new_m:
                     _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * sign)
     return LabeledChain._of(n, chain.field, p + 1, chain.degree, out)
@@ -709,7 +682,7 @@ def _evaluator_idempotents(chain, idempotents) -> GoodIdempotents:
 def _bracket_factor(axis: int, op: WindowedOperator, idempotents: GoodIdempotents):
     """sum_g (-1)^g P_axis^{-g} op P_axis^{g}; finite window on the axis.
     Each side is a cut of `op` to the projectors' boxes (`restrict`), so no
-    composition is made; `phi_hh_closed` keeps a per-call table of these."""
+    composition is made; `phi_hh_closed` caches these per call."""
     plus = idempotents.window(axis, PLUS)
     minus = idempotents.window(axis, MINUS)
     return op.restrict(minus, plus) - op.restrict(plus, minus)
@@ -723,7 +696,7 @@ def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
     windowed slots, so the trace always applies; trace refusals propagate.
 
     Terms share their work.  Each bracket factor B_k(f) is built once per
-    call, in a table keyed by (k, f) that is dropped on return.  The terms
+    call, through a `cache` that is dropped on return.  The terms
     are grouped by f_0, then by f_n, f_{n-1}, .., f_1 -- the order in which
     the product is composed -- and walked depth first, so a partial product
     B_k .. B_n f_0 shared by several terms is composed once and at most n
@@ -734,7 +707,7 @@ def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
     n = chain.dim
     idempotents = _evaluator_idempotents(chain, idempotents)
     outer = -1 if n % 2 else 1
-    brackets = {}
+    bracket = cache(_bracket_factor)
     total = chain.field.zero
 
     def walk(op, k, terms):
@@ -746,10 +719,7 @@ def phi_hh_closed(chain: HochschildChain, idempotents: GoodIdempotents = None):
             total = total + coeff * outer * operators.tate_trace(op)
             return
         for slot, group in _group_by_slot(terms, k).items():
-            factor = brackets.get((k, slot))
-            if factor is None:
-                factor = brackets[k, slot] = _bracket_factor(k, slot, idempotents)
-            partial = factor @ op
+            partial = bracket(k, slot, idempotents) @ op
             if not partial.is_zero():
                 walk(partial, k - 1, group)
 

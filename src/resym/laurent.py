@@ -5,11 +5,18 @@ scalar coefficients; any finite support is a legitimate element of the
 iterated Laurent field k((t_1))...((t_n)).  `TruncatedSeries` carries, next
 to its support, the order below which its coefficients are certified exact;
 arithmetic propagates that certificate instead of silently truncating.
+
+Input is checked once, by `_checked`, which both constructors call; their
+arithmetic runs the shared `_sum`, `_product` and `_scale` loops on checked
+dicts and returns through each class's unchecked `_of`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import chain
+from operator import add
 
 from .errors import DimensionMismatch, FieldMismatch, PrecisionError, ValuationError
 from .polynomials import binary_power
@@ -28,30 +35,74 @@ def _check_compatible(a, b):
         raise FieldMismatch("operands over different coefficient fields")
 
 
+def _exponents(exps, dim: int) -> tuple:
+    exps = tuple(integral(e) for e in exps)
+    if len(exps) != dim:
+        raise DimensionMismatch(f"exponent {exps} has wrong length for n={dim}")
+    return exps
+
+
+def _checked(dim: int, field, coeffs, order=None) -> dict:
+    """{exponents: coefficient} from a dict or pairs: integral exponents of
+    length `dim`, coefficients coerced into `field`, equal exponents merged,
+    zeros dropped and, with `order`, terms of degree >= order left out."""
+    cleaned = {}
+    for exps, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs or ()):
+        exps = _exponents(exps, dim)
+        if order is None or sum(exps) < order:
+            _merge(cleaned, exps, field.coerce(c))
+    return cleaned
+
+
+def _merge(out: dict, exps, c) -> None:
+    """out[exps] += c, storing no zero."""
+    c = out[exps] + c if exps in out else c
+    if c:
+        out[exps] = c
+    else:
+        out.pop(exps, None)
+
+
+def _sum(a: dict, b: dict, order=None) -> dict:
+    """a + b; with `order`, terms of total degree >= order are left out."""
+    out: dict = {}
+    for e, c in chain(a.items(), b.items()):
+        if order is None or sum(e) < order:
+            _merge(out, e, c)
+    return out
+
+
+def _product(a: dict, b: dict, order=None) -> dict:
+    """a * b; with `order`, products of total degree >= order are not formed."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            if order is None or sum(e) < order:
+                prev = out.get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _scale(coeffs: dict, scalar) -> dict:
+    """scalar * coeffs; the zero products of a zero divisor are dropped."""
+    return {e: p for e, c in coeffs.items() if (p := scalar * c)}
+
+
 class LaurentPoly:
     """Finite Laurent polynomial in n variables; no zero coefficients stored."""
 
     __slots__ = ("dim", "field", "coeffs")
 
     def __init__(self, dim: int, field=QQ, coeffs=None):
-        self.dim = dim
-        self.field = field
-        cleaned = {}
-        if coeffs:
-            for exps, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                exps = tuple(integral(e) for e in exps)
-                if len(exps) != dim:
-                    raise DimensionMismatch(f"exponent {exps} has wrong length for n={dim}")
-                c = field.coerce(c)
-                if not c:
-                    continue
-                acc = cleaned.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    cleaned[exps] = c
-                elif exps in cleaned:
-                    del cleaned[exps]
-        self.coeffs = cleaned
+        self.dim, self.field, self.coeffs = dim, field, _checked(dim, field, coeffs)
+
+    @classmethod
+    def _of(cls, dim: int, field, coeffs: dict) -> "LaurentPoly":
+        """Unchecked: `coeffs` as `_checked(dim, field, ...)` gives it."""
+        self = object.__new__(cls)
+        self.dim, self.field, self.coeffs = dim, field, coeffs
+        return self
 
     @classmethod
     def zero(cls, dim: int, field=QQ) -> "LaurentPoly":
@@ -87,35 +138,24 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_compatible(self, other)
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, self.field.zero) + c
-        return LaurentPoly(self.dim, self.field, merged)
+        return self._of(self.dim, self.field, _sum(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.dim, self.field, {e: -c for e, c in self.coeffs.items()})
+        return self._of(self.dim, self.field, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
         _check_compatible(self, other)
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return LaurentPoly(self.dim, self.field, out)
+        return self._of(self.dim, self.field, _product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "LaurentPoly":
-        scalar = self.field.coerce(scalar)
-        return LaurentPoly(self.dim, self.field,
-                           {e: scalar * c for e, c in self.coeffs.items()})
+        return self._of(self.dim, self.field, _scale(self.coeffs, self.field.coerce(scalar)))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -125,10 +165,11 @@ class LaurentPoly:
             if len(self.coeffs) != 1:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             ((exps, c),) = self.coeffs.items()
+            k = integral(k)
             inv = 1 / c if isinstance(c, (int, Fraction)) else c.inverse()
-            return LaurentPoly(self.dim, self.field,
-                               {tuple(e * k for e in exps): inv ** (-k)})
-        return binary_power(self, k, LaurentPoly.constant(self.dim, 1, self.field))
+            return self._of(self.dim, self.field, {tuple(e * k for e in exps): inv ** (-k)})
+        return binary_power(self, k, self._of(self.dim, self.field,
+                                              {(0,) * self.dim: self.field.one}))
 
     def min_exponent(self) -> int:
         """Smallest total degree in the support (for n=1: the valuation)."""
@@ -195,27 +236,15 @@ class TruncatedSeries:
     __slots__ = ("dim", "field", "order", "coeffs")
 
     def __init__(self, dim: int, order: int, field=QQ, coeffs=None):
-        self.dim = dim
-        self.field = field
-        self.order = order
-        cleaned = {}
-        if coeffs:
-            for exps, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                exps = tuple(integral(e) for e in exps)
-                if len(exps) != dim:
-                    raise DimensionMismatch(f"exponent {exps} has wrong length for n={dim}")
-                if sum(exps) >= order:
-                    continue
-                c = field.coerce(c)
-                if not c:
-                    continue
-                acc = cleaned.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    cleaned[exps] = c
-                elif exps in cleaned:
-                    del cleaned[exps]
-        self.coeffs = cleaned
+        self.dim, self.order, self.field = dim, order, field
+        self.coeffs = _checked(dim, field, coeffs, order)
+
+    @classmethod
+    def _of(cls, dim: int, order: int, field, coeffs: dict) -> "TruncatedSeries":
+        """Unchecked: `coeffs` as `_checked(dim, field, ..., order)` gives it."""
+        self = object.__new__(cls)
+        self.dim, self.order, self.field, self.coeffs = dim, order, field, coeffs
+        return self
 
     @classmethod
     def from_laurent(cls, poly: LaurentPoly, order: int) -> "TruncatedSeries":
@@ -227,9 +256,7 @@ class TruncatedSeries:
 
     def valuation(self) -> int:
         """Smallest total degree of the support; empty series count as order."""
-        if not self.coeffs:
-            return self.order
-        return min(sum(e) for e in self.coeffs)
+        return min((sum(e) for e in self.coeffs), default=self.order)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -245,7 +272,8 @@ class TruncatedSeries:
         if order > self.order:
             raise PrecisionError(
                 f"cannot extend certification from order {self.order} to {order}")
-        return TruncatedSeries(self.dim, order, self.field, self.coeffs)
+        return self._of(self.dim, order, self.field,
+                        {e: c for e, c in self.coeffs.items() if sum(e) < order})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncatedSeries) and self.dim == other.dim
@@ -255,46 +283,33 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _check_compatible(self, other)
         order = min(self.order, other.order)
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, self.field.zero) + c
-        return TruncatedSeries(self.dim, order, self.field, merged)
+        return self._of(self.dim, order, self.field, _sum(self.coeffs, other.coeffs, order))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.dim, self.order, self.field,
-                               {e: -c for e, c in self.coeffs.items()})
+        return self._of(self.dim, self.order, self.field, {e: -c for e, c in self.coeffs.items()})
 
     def scale(self, scalar) -> "TruncatedSeries":
-        scalar = self.field.coerce(scalar)
-        return TruncatedSeries(self.dim, self.order, self.field,
-                               {e: scalar * c for e, c in self.coeffs.items()})
+        return self._of(self.dim, self.order, self.field,
+                        _scale(self.coeffs, self.field.coerce(scalar)))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         _check_compatible(self, other)
         order = min(self.order + other.valuation(), other.order + self.valuation())
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) >= order:
-                    continue
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return TruncatedSeries(self.dim, order, self.field, out)
+        return self._of(self.dim, order, self.field, _product(self.coeffs, other.coeffs, order))
 
     __rmul__ = __mul__
 
     def shift_exponents(self, delta) -> "TruncatedSeries":
         """Multiply by the monomial t^delta (exact, so the bound shifts too)."""
-        delta = tuple(delta)
-        return TruncatedSeries(
+        delta = _exponents(delta, self.dim)
+        return self._of(
             self.dim, self.order + sum(delta), self.field,
-            {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.coeffs.items()})
+            {tuple(map(add, e, delta)): c for e, c in self.coeffs.items()})
 
     def unit_inverse(self) -> "TruncatedSeries":
         """Inverse of a one-variable series with valuation 0 and invertible
@@ -320,7 +335,7 @@ class TruncatedSeries:
                     break
                 acc = acc + c * b[k - j]
             b.append(-b0 * acc)
-        return TruncatedSeries(1, self.order, self.field, {(k,): c for k, c in enumerate(b)})
+        return self._of(1, self.order, self.field, {(k,): c for k, c in enumerate(b) if c})
 
     def power(self, k: int) -> "TruncatedSeries":
         # Plain repeated multiplication keeps the certified order tight
@@ -329,7 +344,7 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("negative power; invert explicitly first")
         if k == 0:
-            return TruncatedSeries(self.dim, EXACT_ORDER, self.field, {(0,) * self.dim: 1})
+            return self._of(self.dim, EXACT_ORDER, self.field, {(0,) * self.dim: self.field.one})
         result = self
         for _ in range(k - 1):
             result = result * self
@@ -339,9 +354,8 @@ class TruncatedSeries:
         """d/dt for one-variable series; certified order drops by one."""
         if self.dim != 1:
             raise DimensionMismatch("derivative implemented for n=1 series")
-        return TruncatedSeries(
-            1, self.order - 1, self.field,
-            {(e[0] - 1,): e[0] * c for e, c in self.coeffs.items() if e[0] != 0})
+        return self._of(1, self.order - 1, self.field,
+                        {(e - 1,): e * c for (e,), c in self.coeffs.items() if e})
 
     def embed(self, dim: int, axis: int) -> "TruncatedSeries":
         """View a one-variable series as a series in t_axis of a larger ring."""
@@ -352,21 +366,15 @@ class TruncatedSeries:
             exps = [0] * dim
             exps[axis - 1] = e
             out[tuple(exps)] = c
-        return TruncatedSeries(dim, self.order, self.field, out)
+        return self._of(dim, self.order, self.field, out)
 
     def render(self) -> str:
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for exps, c in sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0])):
-                mono = "*".join(
-                    f"t{i + 1}^{e}" if self.dim > 1 else f"t^{e}"
-                    for i, e in enumerate(exps) if e != 0)
-                text = render_scalar(c)
-                parts.append(f"({text})*{mono}" if mono else f"({text})")
-            body = " + ".join(parts)
-        return f"{body} + O(deg {self.order})"
+        parts = []
+        for exps, c in sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0])):
+            mono = "*".join(f"t{i + 1}^{e}" if self.dim > 1 else f"t^{e}"
+                            for i, e in enumerate(exps) if e != 0)
+            parts.append(f"({render_scalar(c)})" + (f"*{mono}" if mono else ""))
+        return f"{' + '.join(parts) or '0'} + O(deg {self.order})"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.render()})"
@@ -387,7 +395,7 @@ def binomial_series(alpha, order: int) -> TruncatedSeries:
         if c:
             coeffs[(k,)] = c
         c = c * (alpha - k) / (k + 1)
-    return TruncatedSeries(1, order, QQ, coeffs)
+    return TruncatedSeries._of(1, order, QQ, coeffs)
 
 
 def substitute_1d(f: LaurentPoly, u: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -417,17 +425,8 @@ def substitute_1d(f: LaurentPoly, u: TruncatedSeries, order: int) -> TruncatedSe
     unit_inv = unit.unit_inverse()
     u_inv = unit_inv.shift_exponents((-1,))
 
-    powers: dict[int, TruncatedSeries] = {}
-
-    def u_power(k: int) -> TruncatedSeries:
-        if k not in powers:
-            powers[k] = u.power(k) if k >= 0 else u_inv.power(-k)
-        return powers[k]
-
-    total = None
-    for (k,), c in f.coeffs.items():
-        term = u_power(k).scale(c)
-        total = term if total is None else total + term
+    u_power = cache(lambda k: u.power(k) if k >= 0 else u_inv.power(-k))
+    total = reduce(add, (u_power(k).scale(c) for (k,), c in f.coeffs.items()))
     if total.order < order:
         raise PrecisionError(
             f"substitution certified only below {total.order}, requested {order}")

@@ -387,6 +387,9 @@ def operator_from_json(data, dim: int = None, field=QQ) -> WindowedOperator:
     of the first shift gives it (1 for an operator with no terms).
     """
     from .parser import parse_scalar
+    shape = "operator JSON must be a list of coeff/shift/window objects"
+    if not isinstance(data, list):
+        raise ValueError(f"{shape}, not {type(data).__name__}")
     terms = []
     try:
         for entry in data:
@@ -395,8 +398,10 @@ def operator_from_json(data, dim: int = None, field=QQ) -> WindowedOperator:
             window = tuple((_json_integer(lo, ("-inf", None)), _json_integer(hi, ("inf", None)))
                            for lo, hi in entry["window"])
             terms.append((coeff, shift, window))
+    except KeyError as exc:
+        raise ValueError(f"{shape}; an entry has no {exc}") from exc
     except TypeError as exc:
-        raise ValueError(f"operator JSON must be a list of coeff/shift/window objects ({exc})") from exc
+        raise ValueError(f"{shape} ({exc})") from exc
     if dim is None:
         dim = len(terms[0][1]) if terms else 1
     return WindowedOperator(dim, field, terms)

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from resym import (DifferentialForm, DimensionMismatch, ExtensionField,
-                   LaurentPoly, PolyQ, PrecisionError, TruncatedSeries,
-                   ValuationError, binomial_series, chain_is_zero,
-                   hkr_antisymmetrize, hochschild_b, substitute_1d)
+                   LaurentPoly, Place, PolyQ, PrecisionError, TruncatedSeries,
+                   ValuationError, binomial_series, chain_is_zero, expand_at_place,
+                   hkr_antisymmetrize, hochschild_b, parse_rational_function,
+                   substitute_1d)
+from resym import laurent
 from resym.laurent import EXACT_ORDER
 from resym.scalars import QQ
 from resym.verify import rand_fraction, rand_laurent
@@ -31,6 +33,84 @@ def test_constructors_take_only_integral_exponents():
             TruncatedSeries(1, 5, QQ, {(bad,): 1})
         with pytest.raises(ValueError):
             LaurentPoly(2, QQ, [((0, bad), 1)])
+
+
+GAUSS = ExtensionField(PolyQ((1, 0, 1)))          # Q[x]/(x^2+1), a field
+SPLIT = ExtensionField(PolyQ((-1, 0, 1)))         # Q[x]/(x^2-1), zero divisors x+-1
+
+
+def _rand_scalar(rng, field):
+    """Small elements; over Q[x]/(x^2-1) often the zero divisors x+1, x-1."""
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    if field is QQ:
+        return Fraction(a, rng.randint(1, 2))
+    return field.coerce(a) + field.generator * b
+
+
+def _rand_coeffs(rng, field, n):
+    return [(tuple(rng.randint(-2, 3) for _ in range(n)), _rand_scalar(rng, field))
+            for _ in range(rng.randint(0, 5))]
+
+
+def _assert_clean(r):
+    """`r` equals a freshly checked copy, with no zero and nothing at or
+    beyond its order stored."""
+    assert all(r.coeffs.values())
+    if isinstance(r, TruncatedSeries):
+        assert all(sum(e) < r.order for e in r.coeffs)
+        assert r == TruncatedSeries(r.dim, r.order, r.field, r.coeffs)
+    else:
+        assert r == LaurentPoly(r.dim, r.field, r.coeffs)
+
+
+def test_arithmetic_results_are_checked_values():
+    """Every operation builds its result unchecked; each result must still be
+    what the checker would make of it, at n <= 3 over Q, Q[x]/(x^2+1) and
+    Q[x]/(x^2-1)."""
+    rng = random.Random(1515)
+    for field in (QQ, GAUSS, SPLIT):
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            f, g = (LaurentPoly(n, field, _rand_coeffs(rng, field, n)) for _ in range(2))
+            a, b = (TruncatedSeries(n, rng.randint(-1, 6), field, _rand_coeffs(rng, field, n))
+                    for _ in range(2))
+            c = _rand_scalar(rng, field)
+            delta = tuple(rng.randint(-2, 2) for _ in range(n))
+            for r in (f + g, f - g, -f, f.scale(c), f * g, a + b, a - b, -a, a.scale(c),
+                      a * b, a.truncate(a.order - rng.randint(0, 2)), a.shift_exponents(delta)):
+                _assert_clean(r)
+            if n == 1:
+                _assert_clean(a.derivative())
+                _assert_clean(a.embed(3, rng.randint(1, 3)))
+                unit = a + TruncatedSeries(1, a.order, field, {(0,): 1})
+                if unit.order > 0 and unit.valuation() == 0:
+                    try:
+                        _assert_clean(unit.unit_inverse())
+                    except ZeroDivisionError:
+                        pass         # a zero-divisor constant term
+    # a scale by the zero divisor x+1 kills the terms in the ideal (x-1)
+    x = SPLIT.generator
+    s = TruncatedSeries(2, 4, SPLIT, {(0, 0): x - 1, (1, 0): x + 1, (0, 1): 1})
+    scaled = s.scale(x + 1)
+    assert scaled.coeffs == {(1, 0): 2 * x + 2, (0, 1): x + 1}
+    _assert_clean(scaled)
+    # 1/(1 - t^2) = 1 + t^2 + t^4 + ..., whose odd coefficients are zero
+    inv = TruncatedSeries(1, 9, QQ, {(0,): 1, (2,): -1}).unit_inverse()
+    assert inv.coeffs == {(k,): 1 for k in range(0, 9, 2)}
+    _assert_clean(inv)
+
+
+def test_expansion_checks_exponents_only_of_its_input(monkeypatch):
+    """The arithmetic of an order-300 expansion checks no exponent: only the
+    unit and numerator series built from outside data and the shift are."""
+    calls = []
+    check = laurent.integral
+    monkeypatch.setattr(laurent, "integral", lambda v: calls.append(v) or check(v))
+    rf = parse_rational_function("(t+3)/((t-1/2)^5*(t+2))")
+    place = Place.finite(parse_rational_function("t - 1/2").num.monic())
+    field, series = expand_at_place(rf, place, 300)
+    assert field is QQ and series.order == 300 and series.valuation() == -5
+    assert 0 < len(calls) <= 20
 
 
 def test_monomial_inverse_cancels():

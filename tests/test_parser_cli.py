@@ -212,12 +212,26 @@ def test_cli_trace(capsys):
     assert code == 0 and payload == {"value": "6"}
 
 
-def test_cli_trace_malformed_operator_is_error(capsys):
+def test_cli_trace_malformed_operator_is_error(tmp_path, capsys):
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", "null")
     assert code == 1 and "error" in payload
     assert payload["kind"] == "ValueError" and "offset" not in payload
     code, (payload,) = run_cli(capsys, "trace", "--n", "1", "[{")
     assert code == 1 and payload["kind"] == "JSONDecodeError"
+    # an object is no operator, and an entry names its missing field
+    no_window = [{"coeff": "1", "shift": [0]}]
+    for bad, named in (({}, "list"), ({"coeff": "1"}, "list"), (no_window, "'window'")):
+        code, (payload,) = run_cli(capsys, "trace", "--n", "1", json.dumps(bad))
+        assert code == 1 and payload["kind"] == "ValueError" and named in payload["error"]
+    lines = [{"op": "trace", "operator": bad, "n": 1} for bad in ({}, {"coeff": "1"}, no_window)]
+    lines.append({"op": "trace", "operator": [{"coeff": "1", "shift": [0], "window": [[0, 3]]}]})
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps(t) for t in lines), encoding="utf-8")
+    code, payloads = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and len(payloads) == 4
+    for number, (task, payload) in enumerate(zip(lines, payloads[:-1]), 1):
+        assert payload == dict(task, error=payload["error"], kind="ValueError", line=number)
+    assert "'window'" in payloads[2]["error"] and payloads[-1]["result"] == "3"
 
 
 def test_cli_trace_refuses_non_integer_bounds(tmp_path, capsys):
