@@ -6,6 +6,8 @@ error becomes {"error": message, "kind": exception class name} (plus the
 "offset" of a parse error) with a nonzero exit code.  `--json-lines FILE`
 runs a batch of tasks, one JSON object per line, echoing each input object
 back with its result attached; an error there also names its 1-based "line".
+Each subcommand is one entry of `COMMANDS`, read by the argument parser and
+the batch reader alike, and both turn the same exceptions into error objects.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .parser import (number_of_variables, parse_extension_modulus, parse_form,
 from .residue import (Place, expand_at_place, global_residue_sum,
                       nodal_factorization_check, residue_form)
 from .scalars import QQ, ExtensionField, render_scalar
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _field_from_ext(ext: str | None):
@@ -31,8 +33,7 @@ def _field_from_ext(ext: str | None):
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _error_payload(exc: Exception) -> dict:
@@ -51,24 +52,14 @@ def _place_from_text(text: str) -> Place:
     return Place.finite(rf.num.monic())
 
 
-def _series_payload(field, series) -> dict:
-    terms = {str(exps[0]): render_scalar(c)
-             for exps, c in sorted(series.coeffs.items())}
-    return {
-        "field": repr(field),
-        "order": series.order,
-        "coefficients": terms,
-    }
-
-
-def cmd_res(args) -> dict:
+def cmd_res(args) -> tuple:
     """Residue of a form; without n, the largest variable index it names."""
     n = max(1, number_of_variables(args.form)) if args.n is None else int(args.n)
-    form = parse_form(args.form, n, _field_from_ext(args.ext))
-    return {"value": str(residue_form(form))}
+    value = str(residue_form(parse_form(args.form, n, _field_from_ext(args.ext))))
+    return {"value": value}, {"result": value}, 0
 
 
-def cmd_trace(args) -> dict:
+def cmd_trace(args) -> tuple:
     """Trace of an operator given as JSON text, @file or a parsed list;
     without n, the length of its shifts."""
     data = args.operator
@@ -77,40 +68,65 @@ def cmd_trace(args) -> dict:
             with open(data[1:], "r", encoding="utf-8") as fh:
                 data = fh.read()
         data = json.loads(data)
-    op = operator_from_json(data, args.n, _field_from_ext(args.ext))
-    return {"value": render_scalar(tate_trace(op))}
+    value = render_scalar(tate_trace(operator_from_json(data, args.n, _field_from_ext(args.ext))))
+    return {"value": value}, {"result": value}, 0
 
 
-def cmd_expand(args) -> dict:
-    rf = parse_rational_function(args.function)
-    place = _place_from_text(args.place)
-    field, series = expand_at_place(rf, place, args.order)
-    return _series_payload(field, series)
+def cmd_expand(args) -> tuple:
+    field, series = expand_at_place(parse_rational_function(args.function),
+                                    _place_from_text(args.place), args.order)
+    terms = {str(exps[0]): render_scalar(c) for exps, c in sorted(series.coeffs.items())}
+    payload = {"field": repr(field), "order": series.order, "coefficients": terms}
+    return payload, {"result": payload}, 0
 
 
-def cmd_global_sum(args) -> dict:
-    rf = parse_rational_function(args.function)
-    total, report = global_residue_sum(rf)
-    return {
-        "sum": str(total),
-        "places": [{"place": place.render(), "residue": str(res)}
-                   for place, res in report],
-    }
+def cmd_global_sum(args) -> tuple:
+    total, report = global_residue_sum(parse_rational_function(args.function))
+    places = [{"place": place.render(), "residue": str(res)} for place, res in report]
+    return {"sum": str(total), "places": places}, {"result": str(total), "per_place": places}, 0
 
 
-def cmd_verify(args) -> dict:
-    return run_suite(args.suite)
+def cmd_verify(args) -> tuple:
+    result = run_suite(args.suite)
+    return result, {"result": result}, 1 if result["failures"] else 0
 
 
-def cmd_nodal(args) -> dict:
-    return {"ok": nodal_factorization_check(args.order)}
+def cmd_nodal(args) -> tuple:
+    ok = nodal_factorization_check(args.order)
+    return {"ok": ok}, {"result": ok}, 0 if ok else 1
 
 
 _REQUIRED = object()
-# One default per optional field, for the command line and batch lines alike.
-_EXPAND_ORDER = 4
-_NODAL_ORDER = 12
-_SUITE = "all"
+
+# name: (command, help, fields).  A command returns its command-line payload,
+# the fields a batch line gets added, and its exit status.  A field is (name,
+# JSON kind, default, help): on the command line a leading required field is
+# positional and every other field is an option; a batch line leaving out an
+# optional field gets the same default.
+COMMANDS = {
+    "res": (cmd_res, "residue of a differential form", (
+        ("form", str, _REQUIRED, "e.g. \"t^-1 d(t)\" or \"t1^-1*t2^-1 d(t1) ^ d(t2)\""),
+        ("n", int, None, "number of variables"),
+        ("ext", str, None, "extension modulus, e.g. \"x^2+1\""))),
+    "trace": (cmd_trace, "finite-potent trace of an operator (JSON)", (
+        ("operator", list, _REQUIRED, "operator JSON, or @file"),
+        ("n", int, None, "number of variables (default: the length of the shifts)"),
+        ("ext", str, None, None))),
+    "expand": (cmd_expand, "expand a rational function at a place", (
+        ("function", str, _REQUIRED, None),
+        ("place", str, _REQUIRED, "monic polynomial or 'inf'"),
+        ("order", int, 4, None))),
+    "global-sum": (cmd_global_sum, "sum of residues over all places", (
+        ("function", str, _REQUIRED, None),)),
+    "verify": (cmd_verify, "run a property suite", (("suite", str, "all", None),)),
+    "nodal": (cmd_nodal, "nodal-cubic factorization check", (("order", int, 12, None),)),
+}
+_CHOICES = {"suite": ["all", *SUITES]}
+
+# What either front door turns into an error object; a JSONDecodeError and a
+# UnicodeDecodeError are ValueErrors, and input nested past the interpreter's
+# recursion limit is a RecursionError.
+_REFUSALS = (ResymError, ValueError, KeyError, ZeroDivisionError, OSError, RecursionError)
 
 
 def _field(obj: dict, name: str, kind: type, default=_REQUIRED):
@@ -130,64 +146,35 @@ def _field(obj: dict, name: str, kind: type, default=_REQUIRED):
     return value
 
 
-def _exit_status(fn, result: dict) -> int:
-    """1 for a verify run with failures or a failed nodal check, else 0."""
-    if fn is cmd_verify:
-        return 1 if result["failures"] else 0
-    if fn is cmd_nodal:
-        return 0 if result["ok"] else 1
-    return 0
-
-
-# op: (command, its fields as (name, JSON kind, default)), read in order
-_BATCH_OPS = {
-    "res": (cmd_res, (("form", str, _REQUIRED), ("n", int, None), ("ext", str, None))),
-    "global-sum": (cmd_global_sum, (("function", str, _REQUIRED),)),
-    "trace": (cmd_trace, (("operator", list, _REQUIRED), ("n", int, None), ("ext", str, None))),
-    "expand": (cmd_expand, (("function", str, _REQUIRED), ("place", str, _REQUIRED),
-                            ("order", int, _EXPAND_ORDER))),
-    "nodal": (cmd_nodal, (("order", int, _NODAL_ORDER),)),
-    "verify": (cmd_verify, (("suite", str, _SUITE),)),
-}
-
-
-def _batch_task(obj: dict):
+def _batch_task(obj) -> tuple:
     """The line echoed back with its result, and the line's exit status."""
+    if not isinstance(obj, dict):
+        raise ValueError("a batch line must be a JSON object")
     op = obj.get("op")
-    if not isinstance(op, str) or op not in _BATCH_OPS:
+    if not isinstance(op, str) or op not in COMMANDS:
         raise ValueError(f"unknown batch op {op!r}")
-    fn, fields = _BATCH_OPS[op]
-    result = fn(argparse.Namespace(**{name: _field(obj, name, kind, default)
-                                      for name, kind, default in fields}))
-    out = dict(obj)
-    if fn is cmd_global_sum:
-        out["result"], out["per_place"] = result["sum"], result["places"]
-    elif fn is cmd_nodal:
-        out["result"] = result["ok"]
-    elif fn in (cmd_res, cmd_trace):
-        out["result"] = result["value"]
-    else:
-        out["result"] = result
-    return out, _exit_status(fn, result)
+    fn, _, fields = COMMANDS[op]
+    _, result, status = fn(argparse.Namespace(**{
+        name: _field(obj, name, kind, default) for name, kind, default, _ in fields}))
+    return {**obj, **result}, status
 
 
 def run_batch(path: str) -> int:
     status = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        # bytes.splitlines() breaks lines where text mode's universal newlines
+        # would; each line is decoded on its own, so a bad byte fails one line
+        for number, raw in enumerate((piece for chunk in fh for piece in chunk.splitlines()), 1):
             obj = None
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("a batch line must be a JSON object")
                 out, line_status = _batch_task(obj)
                 _emit(out)
                 status = max(status, line_status)
-            except (ResymError, ValueError, KeyError, ZeroDivisionError) as exc:
-                # json.JSONDecodeError is a ValueError: the batch goes on.
+            except _REFUSALS as exc:
                 failed = dict(obj) if isinstance(obj, dict) else {}
                 failed.update(_error_payload(exc), line=number)
                 _emit(failed)
@@ -202,57 +189,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json-lines", metavar="FILE",
                         help="batch mode: one JSON task per line")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("res", help="residue of a differential form")
-    p.add_argument("form", help="e.g. \"t^-1 d(t)\" or \"t1^-1*t2^-1 d(t1) ^ d(t2)\"")
-    p.add_argument("--n", type=int, default=None, help="number of variables")
-    p.add_argument("--ext", default=None, help="extension modulus, e.g. \"x^2+1\"")
-    p.set_defaults(fn=cmd_res)
-
-    p = sub.add_parser("trace", help="finite-potent trace of an operator (JSON)")
-    p.add_argument("operator", help="operator JSON, or @file")
-    p.add_argument("--n", type=int, default=None,
-                   help="number of variables (default: the length of the shifts)")
-    p.add_argument("--ext", default=None)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("expand", help="expand a rational function at a place")
-    p.add_argument("function")
-    p.add_argument("--place", required=True, help="monic polynomial or 'inf'")
-    p.add_argument("--order", type=int, default=_EXPAND_ORDER)
-    p.set_defaults(fn=cmd_expand)
-
-    p = sub.add_parser("global-sum", help="sum of residues over all places")
-    p.add_argument("function")
-    p.set_defaults(fn=cmd_global_sum)
-
-    p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("--suite", choices=["all", "axioms", "compare", "global", "nodal"],
-                   default=_SUITE)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("nodal", help="nodal-cubic factorization check")
-    p.add_argument("--order", type=int, default=_NODAL_ORDER)
-    p.set_defaults(fn=cmd_nodal)
+    for command, (fn, text, fields) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for k, (name, kind, default, help_) in enumerate(fields):
+            if k == 0 and default is _REQUIRED:
+                p.add_argument(name, help=help_)
+            else:
+                p.add_argument(f"--{name}", type=int if kind is int else None,
+                               choices=_CHOICES.get(name), required=default is _REQUIRED,
+                               default=None if default is _REQUIRED else default, help=help_)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.json_lines:
-        return run_batch(args.json_lines)
-    if not getattr(args, "command", None):
+    if not args.json_lines and not getattr(args, "command", None):
         parser.print_help()
         return 2
     try:
-        result = args.fn(args)
-    except (ResymError, ValueError, KeyError, ZeroDivisionError, OSError,
-            json.JSONDecodeError) as exc:
+        if args.json_lines:
+            return run_batch(args.json_lines)
+        payload, _, status = args.fn(args)
+    except _REFUSALS as exc:
         _emit(_error_payload(exc))
         return 1
-    _emit(result)
-    return _exit_status(args.fn, result)
+    _emit(payload)
+    return status
 
 
 if __name__ == "__main__":

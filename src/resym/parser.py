@@ -257,14 +257,21 @@ def parse_laurent(text: str, dim: int, field=QQ) -> LaurentPoly:
     return p.finish(p.laurent_expr())
 
 
+def _d_blocks(tokens: list) -> int:
+    """The number of d( pairs among the tokens: the wedge factors of a form.
+    The last token is "end", with empty text, so a "d" always has a next one."""
+    return sum(tokens[k + 1][0] == "(" for k, tok in enumerate(tokens) if tok[1] == "d")
+
+
 def parse_form(text: str, dim: int, field=QQ) -> DifferentialForm:
     if dim < 1:
         raise ValueError(f"a form needs at least one variable, not n = {dim}")
     p = _Parser(text, dim, field)
-    form = p.finish(p.form_expr())
-    if form.degree != dim:
-        raise ParseError(len(text), f"{dim} wedge factors, found {form.degree}")
-    return form
+    # checked before parsing, which builds exponent vectors of length dim
+    found = _d_blocks(p.tokens)
+    if found != dim:
+        raise ParseError(len(text), f"{dim} wedge factors, found {found}")
+    return p.finish(p.form_expr())
 
 
 def parse_rational_function(text: str) -> RationalFunction:
@@ -310,11 +317,9 @@ def parse_expression(text: str, dim: int = None, field=QQ):
     rational function, decided by the shape of the input."""
     tokens = _tokenize(text)
     kinds = [kind for kind, _, _ in tokens]
-    has_d = any(tok[:2] == ("name", "d") and after == "("
-                for tok, after in zip(tokens, kinds[1:]))
     if dim is None:
         dim = max(1, number_of_variables(text))
-    if has_d:
+    if _d_blocks(tokens):
         return parse_form(text, dim, field)
     slashes_outside_literals = any(
         kinds[i] == "/" and (kinds[i - 1], kinds[i + 1]) != ("num", "num")

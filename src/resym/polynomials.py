@@ -13,6 +13,14 @@ from math import gcd as int_gcd, isqrt
 from .errors import UnsupportedFactorization
 
 
+def rational(value) -> Fraction:
+    """`value` as a Fraction: ints, Fractions and strings like "3/2" convert,
+    while a float is refused instead of taken at its binary value."""
+    if isinstance(value, float):
+        raise ValueError(f"not an exact rational: the float {value!r}")
+    return Fraction(value)
+
+
 def binary_power(base, k: int, one):
     """base ** k for k >= 0 by binary powering; `one` is the result at k = 0.
 
@@ -36,7 +44,7 @@ class PolyQ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldMismatch
-from .polynomials import PolyQ, binary_power
+from .polynomials import PolyQ, binary_power, rational
 
 
 def integral(value) -> int:
@@ -43,7 +43,7 @@ class RationalField:
             return value
         if isinstance(value, ExtElem):
             raise FieldMismatch("extension element used where a rational is required")
-        return Fraction(value)
+        return rational(value)
 
     def render(self, value) -> str:
         return str(Fraction(value))
@@ -119,7 +119,7 @@ class ExtensionField:
         (constant term first, or a PolyQ) mod the modulus."""
         if isinstance(coeffs, PolyQ):
             coeffs = coeffs.coeffs
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         return self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
 
@@ -129,7 +129,7 @@ class ExtensionField:
                 raise FieldMismatch("element of a different extension field")
             return value
         if type(value) is not Fraction:
-            value = Fraction(value)
+            value = rational(value)
         return ExtElem(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def render(self, value) -> str:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -431,3 +433,78 @@ def test_cli_batch_wrong_json_types_keep_going(tmp_path, capsys):
         assert payload == dict(task, error=payload["error"], kind="ValueError", line=number)
         assert field in payload["error"]
     assert payloads[-1]["result"] == "0"
+
+
+def test_batch_file_that_cannot_be_read_is_one_error_object(tmp_path, capsys):
+    code, (payload,) = run_cli(capsys, "--json-lines", str(tmp_path / "missing.jsonl"))
+    assert code == 1 and payload == {"error": payload["error"], "kind": "FileNotFoundError"}
+
+
+def test_batch_line_that_is_not_utf8_fails_alone(tmp_path, capsys):
+    path = tmp_path / "tasks.jsonl"
+    path.write_bytes(b'{"op": "res", "form": "t^-1 d(t)"}\n{"op": "res", "form": "\xff"}\n'
+                     b'{"op": "res", "form": "t^-2 d(t)"}\n')
+    code, (first, bad, last) = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and first["result"] == "1" and last["result"] == "0"
+    assert bad == {"error": bad["error"], "kind": "UnicodeDecodeError", "line": 2}
+
+
+DEEP_JSON = "[" * 100_000
+DEEP_PARENS = "(" * 200 + "t" + ")" * 200
+
+
+def test_excessive_nesting_is_a_recursion_error_on_both_doors(tmp_path, capsys):
+    for argv in (["trace", DEEP_JSON], ["global-sum", DEEP_PARENS]):
+        code, (payload,) = run_cli(capsys, *argv)
+        assert code == 1 and payload == {"error": payload["error"], "kind": "RecursionError"}
+    lines = [DEEP_JSON, json.dumps({"op": "global-sum", "function": DEEP_PARENS}),
+             json.dumps({"op": "res", "form": "t^-1 d(t)"})]
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    code, (deep_json, deep_parens, last) = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and last["result"] == "1"
+    assert deep_json == {"error": deep_json["error"], "kind": "RecursionError", "line": 1}
+    assert deep_parens["kind"] == "RecursionError" and deep_parens["line"] == 2
+
+
+def test_res_refuses_more_variables_than_wedge_factors_before_parsing(tmp_path, capsys):
+    """n is inferred as 10^11 - 1 and checked against the one d(...) block
+    before any exponent vector of that length is built."""
+    form = "t99999999999^-1 d(t99999999999)"
+    code, (payload,) = run_cli(capsys, "res", form)
+    assert code == 1 and payload["kind"] == "ParseError" and payload["offset"] == len(form)
+    assert "99999999999 wedge factors, found 1" in payload["error"]
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps(t) for t in ({"op": "res", "form": form},
+                                                      {"op": "res", "form": "t^-1 d(t)"})),
+                    encoding="utf-8")
+    code, (refused, last) = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and refused["kind"] == "ParseError" and last["result"] == "1"
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    """Each command of the README's CLI block exits 0, and one whose comment
+    is JSON prints that JSON."""
+    import resym.cli as cli_module
+    monkeypatch.setattr(cli_module, "run_suite",
+                        lambda name: {"suite": name, "cases": 1, "failures": []})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tasks.jsonl").write_text('{"op": "res", "form": "t^-1 d(t)", "n": 1}\n'
+                                          '{"op": "global-sum", "function": "1/t"}\n',
+                                          encoding="utf-8")
+    checked = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "resym"
+        code, payloads = run_cli(capsys, *argv)
+        assert code == 0 and payloads and all("error" not in p for p in payloads), line
+        try:
+            expected = json.loads(comment)
+        except ValueError:
+            continue
+        assert payloads == [expected], line
+        checked += 1
+    assert checked == 5

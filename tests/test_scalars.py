@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resym import ExtensionField, FieldMismatch, PolyQ, QQ, field_trace
+from resym import (ExtensionField, FieldMismatch, LaurentPoly, PolyQ, QQ, WindowedOperator,
+                   field_trace)
 from resym.verify import rand_fraction
 
 GAUSS = ExtensionField(PolyQ((1, 0, 1)))        # Q[x]/(x^2+1)
@@ -79,6 +80,21 @@ def test_rational_coerce_refuses_extension_elements():
     for element in (GAUSS.generator, GAUSS.one, CUBIC.zero):
         with pytest.raises(FieldMismatch):
             QQ.coerce(element)
+
+
+def test_floats_are_refused_as_coefficients():
+    """0.1 would be held at its binary value; exact inputs still convert."""
+    constructions = [lambda c: LaurentPoly(1, QQ, {(0,): c}).coefficient((0,)),
+                     lambda c: LaurentPoly(1, GAUSS, {(0,): c}).coefficient((0,)),
+                     lambda c: PolyQ([c, 1]).coefficient(0),
+                     lambda c: WindowedOperator(1, QQ, [(c, (0,), ((0, 2),))]).terms[0][0],
+                     GAUSS.coerce, lambda c: GAUSS.element((c, 0)), QQ.coerce]
+    for build in constructions:
+        for value in (0.1, 1.0, -2.5):
+            with pytest.raises(ValueError, match="float"):
+                build(value)
+        for value in (3, Fraction(3, 2), "3/2"):
+            assert build(value) == Fraction(value)
 
 
 def test_trace_linearity_fuzz():
