@@ -435,22 +435,31 @@ def chains_equal(a, b) -> bool:
 # -- differentials and comparison maps ---------------------------------------
 
 
-def hochschild_b(chain):
+def hochschild_b(chain, out_boxes=None):
     """The Hochschild differential b.
 
     b(m (x) a_1 (x) .. (x) a_r) = m a_1 (x) a_2 .. + sum_j (-1)^j m (x) .. a_j a_{j+1} ..
     + (-1)^r a_r m (x) a_1 .. a_{r-1}; module products are operator
     compositions.  Labels, when present, ride along unchanged.
 
+    `out_boxes` maps a label to the box that the next step cuts that
+    label's module slots to (`restrict`).  A term whose module slot m that
+    cut kills writes only its back term a_r m, by associativity alone: the
+    front slot cuts to P(m a_1) = (P m) a_1 = 0 and the inner terms keep m.
+    Unnamed labels, and `out_boxes=None` (the cycle check and every other
+    caller), get the full differential.
+
     Each distinct product of two slots is composed once per call, through a
-    `cache` of `@` that is dropped on return.  The terms merge straight into
-    one dict, which goes to the chain's `_set`: a labeled output still has
-    every module slot checked against its label.
+    `cache` of `@`, and each (module slot, box) pair is cut once, through a
+    `cache` of `restrict`; both are dropped on return.  The terms merge
+    straight into one dict, which goes to the chain's `_set`: a labeled
+    output still has every module slot checked against its label.
     """
     labeled = isinstance(chain, LabeledChain)
     if chain.degree < 1:
         raise ValueError("hochschild_b needs degree >= 1")
     mul = cache(matmul)
+    cut = cache(WindowedOperator.restrict)
     out: dict = {}
 
     def put(label, tensor, c):
@@ -460,15 +469,17 @@ def hochschild_b(chain):
         label, tensor = key if labeled else (None, key)
         m, rest = tensor[0], tensor[1:]
         r = len(rest)
-        # the input slots are nonzero, so only the product slot can be zero
-        front = mul(m, rest[0])
-        if front:
-            put(label, (front,) + rest[1:], coeff)
-        for j in range(1, r):
-            inner = mul(rest[j - 1], rest[j])
-            if inner:
-                put(label, (m,) + rest[:j - 1] + (inner,) + rest[j + 1:],
-                    -coeff if j % 2 else coeff)
+        box = None if out_boxes is None else out_boxes.get(label)
+        if box is None or cut(m, box):
+            # the input slots are nonzero, so only the product slot can be zero
+            front = mul(m, rest[0])
+            if front:
+                put(label, (front,) + rest[1:], coeff)
+            for j in range(1, r):
+                inner = mul(rest[j - 1], rest[j])
+                if inner:
+                    put(label, (m,) + rest[:j - 1] + (inner,) + rest[j + 1:],
+                        -coeff if j % 2 else coeff)
         back = mul(rest[-1], m)
         if back:
             put(label, (back,) + rest[:-1], -coeff if r % 2 else coeff)
@@ -619,6 +630,11 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
     dropped on return; at level 0 every term shares the slot f_0.  The
     terms merge straight into one dict, which goes to `LabeledChain._set`,
     so every module slot is still checked against its label.
+
+    Above level 0 a source term with label g_1..g_{b+1} .. is visited once
+    per prefix length b of the targets that read it; all of their boxes lie
+    inside the one-axis cut P_{b+1}^{-g_{b+1}}, so a term whose module slot
+    that cut kills is skipped before the loop over the targets.
     """
     n = chain.dim
     idempotents = GoodIdempotents(n, chain.field) if idempotents is None else idempotents
@@ -647,22 +663,29 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
         return LabeledChain._of(n, chain.field, 1, chain.degree, out)
 
     by_label = chain.by_label()
+    # {(source label, b): [(target, sign, box)]}: the components that read it
+    readers: dict = {}
     for target in targets:
-        b = 0
-        while b < n and target[b] != ZERO:
-            b += 1
-        # target[b] == ZERO by construction of the degree
+        # a label at level p+1 >= 2 has a 0; b is the length of its {+,-} prefix
+        b = target.index(ZERO)
         for gammas in product((PLUS, MINUS), repeat=b + 1):
             source = gammas + target[b + 1:]
-            matches = by_label.get(source)
-            if not matches:
+            if source not in by_label:
                 continue
             sign = (-1) ** (p + 1)
             for i in range(b):
                 sign *= sign_of(target[i]) * sign_of(gammas[i])
             box = idempotents.box(target[:b] + (_opposite(gammas[b]),) + (None,) * (n - b - 1))
-            for tensor, coeff in matches:
-                new_m = cut(tensor[0], box)
+            readers.setdefault((source, b), []).append((target, sign, box))
+    for (source, b), fronts in readers.items():
+        # every box of `fronts` lies inside this one-axis cut
+        axis_cut = idempotents.window(b + 1, _opposite(source[b]))
+        for tensor, coeff in by_label[source]:
+            m = tensor[0]
+            if not cut(m, axis_cut):
+                continue
+            for target, sign, box in fronts:
+                new_m = cut(m, box)
                 if new_m:
                     _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * sign)
     return LabeledChain._of(n, chain.field, p + 1, chain.degree, out)
@@ -753,6 +776,10 @@ def phi_hh_zigzag(chain: HochschildChain, idempotents: GoodIdempotents = None):
     g_1..g_{n-p+1} 0^{p-1}, which are the staircase at level p.  So no
     other component ever reaches the trace, and each H builds just the
     staircase through its `targets`.
+
+    Each b is handed the one-axis cut P_{n-p+1}^{-g_{n-p+1}} inside which
+    the next H reads a staircase label g (`out_boxes`), so it builds no
+    front or inner term that H would kill.  The cycle check runs the full b.
     """
     n = chain.dim
     idempotents = _evaluator_idempotents(chain, idempotents)
@@ -765,7 +792,9 @@ def phi_hh_zigzag(chain: HochschildChain, idempotents: GoodIdempotents = None):
     lifted = homotopy_H(LabeledChain.from_hochschild(chain), idempotents,
                         targets=staircase(0))
     for p in range(1, n + 1):
-        lifted = homotopy_H(hochschild_b(lifted), idempotents, targets=staircase(p))
+        cuts = {label: idempotents.window(n - p + 1, _opposite(label[n - p]))
+                for label in staircase(p - 1)}
+        lifted = homotopy_H(hochschild_b(lifted, cuts), idempotents, targets=staircase(p))
     total = chain.field.zero
     for (_, tensor), coeff in lifted.terms.items():
         total = total + coeff * operators.tate_trace(tensor[0])

@@ -19,8 +19,8 @@ from itertools import chain
 from operator import add
 
 from .errors import DimensionMismatch, FieldMismatch, PrecisionError, ValuationError
-from .polynomials import binary_power
-from .scalars import QQ, integral, render_scalar
+from .polynomials import binary_power, integral
+from .scalars import QQ, render_scalar
 
 
 # Stand-in certificate for data that is exact at every order (finite

@@ -32,7 +32,8 @@ from operator import add
 
 from .errors import (DimensionMismatch, FieldMismatch, NotProvablyFinitePotent)
 from .laurent import LaurentPoly
-from .scalars import QQ, integral, render_scalar, scalar_key
+from .polynomials import integral
+from .scalars import QQ, render_scalar, scalar_key
 
 PLUS = "+"
 MINUS = "-"

@@ -21,13 +21,27 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
+def integral(value) -> int:
+    """`value` as an int: True and Fraction(14, 2) convert, while every
+    float (2.0 too), Fraction(5, 2) and "3" are refused instead of
+    truncated."""
+    if isinstance(value, float):
+        raise ValueError(f"not an integer: the float {value!r}")
+    i = int(value)
+    if i != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return i
+
+
 def binary_power(base, k: int, one):
     """base ** k for k >= 0 by binary powering; `one` is the result at k = 0.
 
-    The base is squared only while higher bits of k remain, so every square
-    formed enters the result; the first factor is taken as it is, not
-    multiplied into `one`.
+    k is checked once, by `integral`, so a float exponent is refused with
+    a ValueError.  The base is squared only while higher bits of k remain,
+    so every square formed enters the result; the first factor is taken as
+    it is, not multiplied into `one`.
     """
+    k = integral(k)
     out = None
     while True:
         if k & 1:

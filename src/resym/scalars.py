@@ -20,15 +20,6 @@ from .errors import FieldMismatch
 from .polynomials import PolyQ, binary_power, rational
 
 
-def integral(value) -> int:
-    """`value` as an int: True and Fraction(14, 2) convert, while 2.5,
-    Fraction(5, 2) and "3" are refused instead of truncated."""
-    i = int(value)
-    if i != value:
-        raise ValueError(f"not an integer: {value!r}")
-    return i
-
-
 class RationalField:
     """Descriptor for Q.  Elements are fractions.Fraction."""
 

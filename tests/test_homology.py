@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -289,6 +290,146 @@ def test_restricted_targets_are_a_restriction():
             homotopy_H(chain, targets=[bad])
     with pytest.raises(ValueError):
         homotopy_H(LabeledChain.from_hochschild(rand_cycle(rng, 2)), targets=[("+", "0")])
+
+
+def _reference_H(chain, idem, targets):
+    """The contracting homotopy written out from its formula, one (term,
+    target) pair at a time, with every projector front composed (`@`)
+    rather than cut; the validating constructor merges the result."""
+    n, p = chain.dim, chain.level
+    data = []
+    for (label, tensor), coeff in chain.terms.items():
+        for target in targets:
+            if p == 0:
+                fronts, sign = target, prod(1 if s == "+" else -1 for s in target)
+            else:
+                b = target.index("0")
+                if "0" in label[:b + 1] or label[b + 1:] != target[b + 1:]:
+                    continue
+                fronts = target[:b] + ("-" if label[b] == "+" else "+",)
+                sign = (-1) ** (p + 1) * prod(1 if s == g else -1
+                                              for s, g in zip(target[:b], label[:b]))
+            m = tensor[0]
+            for axis, s in enumerate(fronts, 1):
+                m = idem.P(axis, s) @ m
+            data.append(((target, (m,) + tensor[1:]), coeff * sign))
+    return LabeledChain(n, chain.field, p + 1, chain.degree, data)
+
+
+def _precut(chain, idem, rng):
+    """Each term of a labeled chain again, its module slot cut by P_k^{g_k}
+    on a random axis k of its label with g_k in {+,-}, as the previous
+    step of the zigzag leaves a slot; the cut keeps every ideal membership."""
+    data = []
+    for (label, tensor), coeff in chain.terms.items():
+        axes = [k for k, s in enumerate(label, 1) if s != "0"]
+        if axes:
+            k = rng.choice(axes)
+            data.append(((label, (idem.P(k, label[k - 1]) @ tensor[0],) + tensor[1:]), coeff))
+    return LabeledChain(chain.dim, chain.field, chain.level, chain.degree, data)
+
+
+def _random_idempotents(rng, n, field):
+    return GoodIdempotents(n, field, thresholds=tuple(rng.choice((-2, -1, 1, 2))
+                                                      for _ in range(n)))
+
+
+def test_homotopy_matches_its_formula_with_the_one_visit_skip():
+    # H visits a source term once and skips it when P_{b+1}^{-g_{b+1}} kills
+    # its module slot; it must still equal the formula composed term by term,
+    # restricted to its targets, at every level, over Q and Q[x]/(x^2+1)
+    rng = random.Random(130)
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    killed = nonempty = 0
+    for n in (1, 2, 3):
+        for field in (QQ, ext):
+            for level in range(n + 1):
+                for _ in range(3):
+                    idem = _random_idempotents(rng, n, field)
+                    chain = rand_labeled_chain(rng, n, level, rng.randint(1, 2), field)
+                    chain = chain + rand_labeled_chain(rng, n, level, chain.degree, field)
+                    if level:
+                        chain = chain + _precut(chain, idem, rng)
+                        killed += sum(
+                            (idem.P(k, "-" if s == "+" else "+") @ tensor[0]).is_zero()
+                            for (label, tensor) in chain.terms
+                            for k, s in enumerate(label, 1) if s != "0")
+                    labels = labels_of_degree(n, level + 1)
+                    for targets in (labels, _staircase(n, level),
+                                    rng.sample(labels, rng.randint(1, len(labels)))):
+                        got = homotopy_H(chain, idem, targets=targets)
+                        assert got == _reference_H(chain, idem, targets)
+                        nonempty += not got.is_empty()
+    assert killed >= 40 and nonempty >= 60    # the skip fires; not a vacuous check
+
+
+def _staircase_cuts(n, p, idem):
+    """The boxes phi_hh_zigzag hands b at step p: P_{n-p+1}^{-g_{n-p+1}} for
+    each staircase label g at level p."""
+    return {label: idem.window(n - p + 1, "-" if label[n - p] == "+" else "+")
+            for label in _staircase(n, p - 1)}
+
+
+def test_pruned_b_feeds_the_homotopy_what_the_full_b_does():
+    # H after the pruned b equals H after the full b, both with the staircase
+    # targets, at every level of the zigzag, over Q and Q[x]/(x^2+1), on HKR
+    # cycles, on cycles that are not HKR images and on random labeled chains
+    rng = random.Random(131)
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    pruned = compared = 0
+
+    def compare(chain, idem, p):
+        nonlocal pruned, compared
+        n, targets = chain.dim, _staircase(chain.dim, p)
+        full_b = hochschild_b(chain)
+        cut_b = hochschild_b(chain, _staircase_cuts(n, p, idem))
+        full = homotopy_H(full_b, idem, targets=targets)
+        assert homotopy_H(cut_b, idem, targets=targets) == full
+        pruned += len(cut_b.terms) < len(full_b.terms)
+        compared += not full.is_empty()
+        return full
+
+    for n in (1, 2, 3):
+        for field in (QQ, ext):
+            for _ in range(2):
+                idem = _random_idempotents(rng, n, field)
+                z = rand_cycle(rng, n, field)
+                boundary = hochschild_b(rand_hochschild_chain(rng, n, n + 1, field))
+                for cycle in (z, z + boundary):
+                    lifted = homotopy_H(LabeledChain.from_hochschild(cycle), idem,
+                                        targets=_staircase(n, 0))
+                    for p in range(1, n + 1):
+                        lifted = compare(lifted, idem, p)
+                for p in range(1, n + 1):
+                    chain = rand_labeled_chain(rng, n, p, rng.randint(1, 2), field)
+                    for _ in range(2):
+                        chain = chain + rand_labeled_chain(rng, n, p, chain.degree, field)
+                    compare(chain + _precut(chain, idem, rng), idem, p)
+    assert pruned >= 20 and compared >= 30
+
+
+def test_zigzag_on_cycles_that_are_not_hkr_images():
+    # z + b(e) is a cycle but no antisymmetrization; the zigzag must read
+    # the value of z, which the closed formula gives, under shifted idempotents
+    rng = random.Random(5)
+    ext = ExtensionField(PolyQ((1, 0, 1)))
+    cases = nonzero = 0
+    for n in (1, 2, 3):
+        for field in (QQ, ext):
+            for _ in range(8):
+                z = rand_cycle(rng, n, field)
+                # a form with monomials in -1..1, whose residue is more often nonzero
+                f0, fs = _random_form(rng, n, 2)
+                aimed = hkr_antisymmetrize(DifferentialForm(
+                    LaurentPoly(n, field, f0), [LaurentPoly(n, field, f) for f in fs]))
+                boundary = hochschild_b(rand_hochschild_chain(rng, n, n + 1, field))
+                idem = _random_idempotents(rng, n, field)
+                for cycle in (z, aimed):
+                    value = phi_hh_closed(cycle, idem)
+                    assert phi_hh_zigzag(cycle + boundary, idem) == value
+                    nonzero += bool(value)
+                cases += not boundary.is_empty()
+    assert cases >= 40 and nonzero >= 10    # not a vacuous check
 
 
 def test_builders_match_the_validating_constructor():
@@ -815,3 +956,33 @@ def test_zigzag_shares_work(monkeypatch):
     # 30,458 when every component of the tower is built, 10,874 when the
     # fronts are composed
     assert 0 < calls[0] <= 1600
+
+
+def test_zigzag_builds_no_term_the_next_cut_kills(monkeypatch):
+    # counts, not wall clock: the compositions and the summed output terms
+    # of every hochschild_b call (the cycle check included) of one zigzag
+    from resym import homology
+    calls, out_terms = [0], [0]
+    compose, b = WindowedOperator.compose, homology.hochschild_b
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    def counted_b(*args, **kwargs):
+        out = b(*args, **kwargs)
+        out_terms[0] += len(out.terms)
+        return out
+
+    monkeypatch.setattr(WindowedOperator, "compose", counted)
+    monkeypatch.setattr(WindowedOperator, "__matmul__", counted)
+    monkeypatch.setattr(homology, "hochschild_b", counted_b)
+    assert phi_hh_zigzag(hkr_antisymmetrize(_cyclic_form(4))) == 1
+    # 432 compositions when b builds the front and inner terms the next
+    # homotopy cuts to zero
+    assert 0 < calls[0] <= 300
+    calls[0] = out_terms[0] = 0
+    assert phi_hh_zigzag(hkr_antisymmetrize(_cyclic_form(5))) == 1
+    # 1,202 compositions and 10,644 output terms with the unpruned b
+    assert 0 < calls[0] <= 800
+    assert 0 < out_terms[0] <= 6000

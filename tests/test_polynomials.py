@@ -180,3 +180,32 @@ def test_binary_power_multiplies_only_what_it_uses():
         assert binary_power(Counted(1), k, Counted(0)).exponent == k
         # squarings below the top bit, plus one product per further set bit
         assert Counted.products == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+
+
+def test_float_exponents_are_refused(monkeypatch):
+    """A float exponent is a ValueError, 2.0 as much as 2.5, while an
+    integral Fraction or a bool still converts; `binary_power` checks its
+    exponent once per power, not once per product."""
+    from resym import polynomials
+    gauss = ExtensionField(PolyQ((1, 0, 1)))
+    t = LaurentPoly.variable(1, 1)
+    x = PolyQ((0, 1))
+    powers = [lambda k: t ** k, lambda k: x ** k, lambda k: gauss.generator ** k]
+    for power in powers:
+        for k in (2.0, 2.5):
+            with pytest.raises(ValueError, match="float"):
+                power(k)
+        with pytest.raises(ValueError):
+            power(-2.0)
+        assert power(Fraction(4, 2)) == power(2)
+        assert power(True) == power(1)
+    with pytest.raises(ValueError, match="float"):
+        LaurentPoly(1, coeffs={(2.0,): 1})
+    assert LaurentPoly(1, coeffs={(Fraction(4, 2),): 1}) == t ** 2
+    calls = []
+    check = polynomials.integral
+    monkeypatch.setattr(polynomials, "integral", lambda v: calls.append(v) or check(v))
+    for base in (t + LaurentPoly.constant(1, 1), x + PolyQ.one(), gauss.generator + gauss.one):
+        calls.clear()
+        base ** 40
+        assert calls == [40]
