@@ -55,7 +55,7 @@ def _place_from_text(text: str) -> Place:
 def cmd_res(args) -> tuple:
     """Residue of a form; without n, the largest variable index it names."""
     n = max(1, number_of_variables(args.form)) if args.n is None else int(args.n)
-    value = str(residue_form(parse_form(args.form, n, _field_from_ext(args.ext))))
+    value = render_scalar(residue_form(parse_form(args.form, n, _field_from_ext(args.ext))))
     return {"value": value}, {"result": value}, 0
 
 
@@ -82,8 +82,9 @@ def cmd_expand(args) -> tuple:
 
 def cmd_global_sum(args) -> tuple:
     total, report = global_residue_sum(parse_rational_function(args.function))
-    places = [{"place": place.render(), "residue": str(res)} for place, res in report]
-    return {"sum": str(total), "places": places}, {"result": str(total), "per_place": places}, 0
+    places = [{"place": place.render(), "residue": render_scalar(res)} for place, res in report]
+    total = render_scalar(total)
+    return {"sum": total, "places": places}, {"result": total, "per_place": places}, 0
 
 
 def cmd_verify(args) -> tuple:

@@ -26,7 +26,7 @@ from operator import matmul
 
 from .errors import (DecompositionError, DimensionMismatch, FieldMismatch,
                      MembershipError, NotACycle)
-from .laurent import DifferentialForm
+from .laurent import DifferentialForm, _merge, _scale, _sum
 # Evaluators call operators.tate_trace through the module so that a
 # replacement of the module attribute (bench/tracer.py) is seen.
 from . import operators
@@ -86,15 +86,6 @@ def _bracket_terms(slots):
                 yield (-1) ** (i + j), bracket, slots[:i] + slots[i + 1:j] + slots[j + 1:]
 
 
-def _merge_term(terms: dict, key, coeff):
-    prev = terms.get(key)
-    val = coeff if prev is None else prev + coeff
-    if val:
-        terms[key] = val
-    elif key in terms:
-        del terms[key]
-
-
 class _ChainBase:
     """Formal-sum plumbing shared by the chain classes, `_set` and `__eq__`
     included.  Every slot but the last, `terms`, is a shape field (dim,
@@ -137,10 +128,7 @@ class _ChainBase:
     def __add__(self, other):
         if type(other) is not type(self) or other._shape() != self._shape():
             raise DimensionMismatch("incompatible chains")
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            _merge_term(merged, key, c)
-        return self._like(merged)
+        return self._like(_sum(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -149,13 +137,7 @@ class _ChainBase:
         return self.scale(-1)
 
     def scale(self, scalar):
-        scalar = self.field.coerce(scalar)
-        out = {}
-        for key, c in self.terms.items():
-            v = scalar * c
-            if v:
-                out[key] = v
-        return self._like(out)
+        return self._like(_scale(self.terms, self.field.coerce(scalar)))
 
 
 class HochschildChain(_ChainBase):
@@ -180,7 +162,7 @@ class HochschildChain(_ChainBase):
             if not coeff or any(slot.is_zero() for slot in tensor):
                 continue
             self._check_slots(dim, field, tensor)
-            _merge_term(cleaned, tensor, coeff)
+            _merge(cleaned, tensor, coeff)
         self._set(dim, field, degree, cleaned)
 
     @classmethod
@@ -227,7 +209,7 @@ class LieChain(_ChainBase):
             if normal is None:
                 continue
             sign, sorted_slots = normal
-            _merge_term(cleaned, (m, sorted_slots), coeff * sign)
+            _merge(cleaned, (m, sorted_slots), coeff * sign)
         self._set(dim, field, degree, cleaned)
 
     @classmethod
@@ -295,7 +277,7 @@ class LabeledChain(_ChainBase):
             if not coeff or any(s.is_zero() for s in tensor):
                 continue
             self._check_slots(dim, field, tensor)
-            _merge_term(cleaned, (label, tensor), coeff)
+            _merge(cleaned, (label, tensor), coeff)
         self._set(dim, field, level, degree, cleaned)
 
     def _set(self, dim: int, field, level: int, degree: int, terms: dict) -> "LabeledChain":
@@ -419,12 +401,12 @@ def chain_is_zero(chain) -> bool:
             nxt: dict = {}
             for key, c in partial.items():
                 for b, cb in combo.items():
-                    _merge_term(nxt, key + (b,), c * cb)
+                    _merge(nxt, key + (b,), c * cb)
             partial = nxt
             if not partial:
                 break
         for key, c in partial.items():
-            _merge_term(total, (label, key), c)
+            _merge(total, (label, key), c)
     return not total
 
 
@@ -463,7 +445,7 @@ def hochschild_b(chain, out_boxes=None):
     out: dict = {}
 
     def put(label, tensor, c):
-        _merge_term(out, (label, tensor) if labeled else tensor, c)
+        _merge(out, (label, tensor) if labeled else tensor, c)
 
     for key, coeff in chain.terms.items():
         label, tensor = key if labeled else (None, key)
@@ -493,7 +475,7 @@ def cyclic_t(chain: HochschildChain) -> HochschildChain:
     for tensor, coeff in chain.terms.items():
         r = len(tensor) - 1
         rotated = (tensor[-1],) + tensor[:-1]
-        _merge_term(out, rotated, coeff * (-1) ** r)
+        _merge(out, rotated, coeff * (-1) ** r)
     return HochschildChain._of(chain.dim, chain.field, chain.degree, out)
 
 
@@ -504,7 +486,7 @@ def epsilon(chain: LieChain) -> HochschildChain:
         if m is None:
             raise ValueError("epsilon expects coefficient-bearing Lie chains")
         for sign, permuted in _signed_permutations(slots):
-            _merge_term(out, (m,) + permuted, coeff * sign)
+            _merge(out, (m,) + permuted, coeff * sign)
     return HochschildChain._of(chain.dim, chain.field, chain.degree, out)
 
 
@@ -569,7 +551,7 @@ def hkr_antisymmetrize(form: DifferentialForm) -> HochschildChain:
     if m and all(ops):
         signs = {1: form.field.one, -1: -form.field.one}
         for sign, permuted in _signed_permutations(ops):
-            _merge_term(out, (m,) + permuted, signs[sign])
+            _merge(out, (m,) + permuted, signs[sign])
     return HochschildChain._of(form.dim, form.field, form.degree, out)
 
 
@@ -590,7 +572,7 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
     out: dict = {}
     if p == 1:
         for (label, tensor), coeff in chain.terms.items():
-            _merge_term(out, (None, tensor), coeff * prod(map(sign_of, label)))
+            _merge(out, (None, tensor), coeff * prod(map(sign_of, label)))
         return LabeledChain._of(chain.dim, chain.field, 0, chain.degree, out)
     for (label, tensor), coeff in chain.terms.items():
         for i, s in enumerate(label):
@@ -599,7 +581,7 @@ def n_partial(chain: LabeledChain) -> LabeledChain:
             zeros_right = sum(1 for t in label[i + 1:] if t == ZERO)
             for repl in (PLUS, MINUS):
                 target = label[:i] + (repl,) + label[i + 1:]
-                _merge_term(out, (target, tensor), coeff * (-1) ** zeros_right)
+                _merge(out, (target, tensor), coeff * (-1) ** zeros_right)
     return LabeledChain._of(chain.dim, chain.field, p - 1, chain.degree, out)
 
 
@@ -659,7 +641,7 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
             for label, sgn, box in fronts:
                 op = cut(m, box)
                 if op:
-                    _merge_term(out, (label, (op,) + rest), coeff * sgn)
+                    _merge(out, (label, (op,) + rest), coeff * sgn)
         return LabeledChain._of(n, chain.field, 1, chain.degree, out)
 
     by_label = chain.by_label()
@@ -687,7 +669,7 @@ def homotopy_H(chain: LabeledChain, idempotents: GoodIdempotents = None,
             for target, sign, box in fronts:
                 new_m = cut(m, box)
                 if new_m:
-                    _merge_term(out, (target, (new_m,) + tensor[1:]), coeff * sign)
+                    _merge(out, (target, (new_m,) + tensor[1:]), coeff * sign)
     return LabeledChain._of(n, chain.field, p + 1, chain.degree, out)
 
 
@@ -850,7 +832,7 @@ def psi(chain: HochschildChain, level: int, idempotents: GoodIdempotents = None)
         if new_m.is_zero():
             continue
         check_deep(new_m, s, "output module")
-        _merge_term(out, (new_m,) + tensor[1:s], coeff * sgn)
+        _merge(out, (new_m,) + tensor[1:s], coeff * sgn)
     return HochschildChain._of(n, chain.field, s - 1, out)
 
 

@@ -54,13 +54,14 @@ def _checked(dim: int, field, coeffs, order=None) -> dict:
     return cleaned
 
 
-def _merge(out: dict, exps, c) -> None:
-    """out[exps] += c, storing no zero."""
-    c = out[exps] + c if exps in out else c
+def _merge(out: dict, key, c) -> None:
+    """out[key] += c, storing no zero; every Laurent and chain sum merges here."""
+    prev = out.get(key)
+    c = c if prev is None else prev + c
     if c:
-        out[exps] = c
-    else:
-        out.pop(exps, None)
+        out[key] = c
+    elif prev is not None:
+        del out[key]
 
 
 def _sum(a: dict, b: dict, order=None) -> dict:
@@ -166,7 +167,7 @@ class LaurentPoly:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             ((exps, c),) = self.coeffs.items()
             k = integral(k)
-            inv = 1 / c if isinstance(c, (int, Fraction)) else c.inverse()
+            inv = self.field.one / c
             return self._of(self.dim, self.field, {tuple(e * k for e in exps): inv ** (-k)})
         return binary_power(self, k, self._of(self.dim, self.field,
                                               {(0,) * self.dim: self.field.one}))
@@ -326,7 +327,7 @@ class TruncatedSeries:
         tail = sorted((e, c) for (e,), c in self.coeffs.items() if e)
         if self.order > 10 ** 6 and tail:
             raise PrecisionError("refusing to invert a non-constant unit at unbounded order")
-        b0 = 1 / g0 if not hasattr(g0, "inverse") else g0.inverse()
+        b0 = self.field.one / g0
         b = [b0]
         for k in range(1, self.order if tail else 1):
             acc = self.field.zero

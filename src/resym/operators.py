@@ -323,20 +323,16 @@ class WindowedOperator:
     # -- action ------------------------------------------------------------
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        """Coefficient-wise action on a Laurent polynomial."""
+        """Coefficient-wise action on a Laurent polynomial, whose constructor
+        merges the images."""
         if f.dim != self.dim:
             raise DimensionMismatch("operand dimension mismatch")
         if f.field != self.field:
             raise FieldMismatch("operand over a different field")
-        out: dict = {}
-        for exps, c in f.coeffs.items():
-            for coeff, shift, window in self.terms:
-                if _window_contains(window, exps):
-                    target = tuple(a + b for a, b in zip(exps, shift))
-                    prev = out.get(target)
-                    val = coeff * c
-                    out[target] = val if prev is None else prev + val
-        return LaurentPoly(self.dim, self.field, out)
+        return LaurentPoly(self.dim, self.field, [
+            (tuple(a + b for a, b in zip(exps, shift)), coeff * c)
+            for exps, c in f.coeffs.items() for coeff, shift, window in self.terms
+            if _window_contains(window, exps)])
 
     def evaluate(self, shift, point):
         """Coefficient with which t^point maps onto t^(point+shift)."""

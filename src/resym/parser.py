@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .laurent import DifferentialForm, LaurentPoly
-from .polynomials import PolyQ
+from .polynomials import PolyQ, power_text, signed_sum_text
 from .residue import RationalFunction
 from .scalars import QQ, ExtensionField
 
@@ -28,6 +28,9 @@ from .scalars import QQ, ExtensionField
 # non-space character (refused).  Whitespace between matches is skipped.
 _TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<name>\w+)|(?P<sym>[-+*/^()])|(?P<bad>\S)")
 _VARIABLE = re.compile(r"t([0-9]*)")
+# Parentheses a rational function may nest; at about seven frames a level,
+# the recursive descent stays well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list:
@@ -49,6 +52,7 @@ class _Parser:
         self.field = field
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -230,16 +234,20 @@ class _Parser:
         return RationalFunction(num, den) if k >= 0 else RationalFunction(den, num)
 
     def rf_atom(self) -> RationalFunction:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "num":
             return RationalFunction(PolyQ.constant(self.rational_literal()))
         if kind == "name" and text == "t":
             self.next()
             return RationalFunction(PolyQ.x())
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(pos, f"at most {MAX_NESTING} nested parentheses")
+            self.depth += 1
             self.next()
             inner = self.rf_expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         self.fail("a number, t, or '('")
 
@@ -332,38 +340,16 @@ def parse_expression(text: str, dim: int = None, field=QQ):
 # -- renderers ---------------------------------------------------------------
 
 
-def _render_coeff_and_monomial(coeff, exps, dim: int, field) -> tuple[str, bool]:
-    """Text for one term plus whether it starts with an explicit minus."""
-    mono = "*".join(
-        (f"t{i+1}" if dim > 1 else "t") + (f"^{e}" if e != 1 else "")
-        for i, e in enumerate(exps) if e != 0)
-    if isinstance(field, ExtensionField):
-        ctxt = f"({field.render(coeff)})"
-        negative = False
-    else:
-        negative = coeff < 0
-        mag = abs(coeff)
-        ctxt = str(mag)
-        if mono and mag == 1:
-            ctxt = ""
-    if mono:
-        body = f"{ctxt}*{mono}" if ctxt else mono
-    else:
-        body = ctxt if ctxt else "1"
-    return body, negative
-
-
 def render_laurent(poly: LaurentPoly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
+    """Terms in exponent order; an extension coefficient keeps its signs in parentheses."""
+    names = ["t"] if poly.dim == 1 else [f"t{i}" for i in range(1, poly.dim + 1)]
+    ext = isinstance(poly.field, ExtensionField)
+    terms = []
     for exps, coeff in poly.sorted_terms():
-        body, negative = _render_coeff_and_monomial(coeff, exps, poly.dim, poly.field)
-        if not parts:
-            parts.append(("-" if negative else "") + body)
-        else:
-            parts.append(("- " if negative else "+ ") + body)
-    return " ".join(parts)
+        mono = "*".join(power_text(1, name, e) for name, e in zip(names, exps) if e)
+        magnitude = f"({poly.field.render(coeff)})" if ext else abs(coeff)
+        terms.append((not ext and coeff < 0, power_text(magnitude, mono, 1 if mono else 0)))
+    return signed_sum_text(terms)
 
 
 def render_form(form: DifferentialForm) -> str:

@@ -33,6 +33,40 @@ def integral(value) -> int:
     return i
 
 
+def rational_text(value) -> str:
+    """`value` as str(Fraction(value)) writes it, "p" or "p/q", at any size:
+    an int too long for str() is written as the halves of a divmod by a
+    power of ten, and the interpreter's digit limit is left as it is."""
+    q = Fraction(value)
+    n = q.numerator
+    if q.denominator != 1:
+        return f"{rational_text(n)}/{rational_text(q.denominator)}"
+    if n.bit_length() <= 14_000:    # at most 4,215 digits; str() refuses past 4,300
+        return str(n)
+    if n < 0:
+        return "-" + rational_text(-n)
+    k = n.bit_length() * 3 // 20    # about half the digits, as log10(2) ~ 3/10
+    high, low = divmod(n, 10 ** k)
+    return rational_text(high) + rational_text(low).zfill(k)
+
+
+def power_text(magnitude, symbol: str, k: int) -> str:
+    """magnitude * symbol^k as text: no "1*", no "^1", the bare magnitude at
+    k = 0.  The magnitude is a nonnegative rational, or text kept as it is."""
+    text = magnitude if isinstance(magnitude, str) else rational_text(magnitude)
+    if k == 0:
+        return text
+    return ("" if magnitude == 1 else f"{text}*") + symbol + ("" if k == 1 else f"^{k}")
+
+
+def signed_sum_text(terms, spaced: bool = True) -> str:
+    """(negative, magnitude text) pairs joined as "-a + b - c", or "-a+b-c"
+    when not `spaced`; no terms give "0"."""
+    signs = (" + ", " - ") if spaced else ("+", "-")
+    return "".join((signs if i else ("", "-"))[negative] + body
+                   for i, (negative, body) in enumerate(terms)) or "0"
+
+
 def binary_power(base, k: int, one):
     """base ** k for k >= 0 by binary powering; `one` is the result at k = 0.
 
@@ -199,24 +233,8 @@ class PolyQ:
         return PolyQ(tuple(reversed(self.coeffs)))
 
     def render(self, symbol: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{symbol}" + (f"^{k}" if k != 1 else "")
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return signed_sum_text((c < 0, power_text(abs(c), symbol, k))
+                               for k, c in reversed(list(enumerate(self.coeffs))) if c)
 
     def __repr__(self) -> str:
         return f"PolyQ({self.render()})"

@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldMismatch
-from .polynomials import PolyQ, binary_power, rational
+from .polynomials import (PolyQ, binary_power, power_text, rational, rational_text,
+                          signed_sum_text)
 
 
 class RationalField:
@@ -37,7 +38,7 @@ class RationalField:
         return rational(value)
 
     def render(self, value) -> str:
-        return str(Fraction(value))
+        return rational_text(value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
@@ -124,22 +125,9 @@ class ExtensionField:
         return ExtElem(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def render(self, value) -> str:
-        value = self.coerce(value)
-        parts = []
-        for k, c in enumerate(value.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{self.symbol}" + (f"^{k}" if k != 1 else "")
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts) if parts else "0"
+        return signed_sum_text(((c < 0, power_text(abs(c), self.symbol, k))
+                                for k, c in enumerate(self.coerce(value).coeffs) if c),
+                               spaced=False)
 
     def __eq__(self, other) -> bool:
         # a monic modulus is fixed by its integer-scaled low coefficients
@@ -251,8 +239,9 @@ class ExtElem:
         return field.element([row[d] for row in rows])
 
     def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
+        inverse = self._check(other).inverse()
+        # one / other is the inverse itself; no product is formed
+        return inverse if self is self.field.one else self * inverse
 
     def __rtruediv__(self, other):
         return self._check(other) * self.inverse()
@@ -307,6 +296,4 @@ def scalar_key(value):
 
 
 def render_scalar(value) -> str:
-    if isinstance(value, ExtElem):
-        return value.field.render(value)
-    return str(Fraction(value))
+    return value.field.render(value) if isinstance(value, ExtElem) else rational_text(value)

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the sources."""
+"""Every demo script runs to completion against the sources and prints
+exactly its committed output, demos/expected/<stem>.txt."""
 
 from __future__ import annotations
 
@@ -23,3 +24,5 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    expected = ROOT / "demos" / "expected" / f"{demo.stem}.txt"
+    assert proc.stdout == expected.read_text(encoding="utf-8")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import shlex
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from resym import (QQ, DifferentialForm, ExtensionField, LaurentPoly, ParseError
                    parse_extension_modulus, parse_form, parse_laurent,
                    parse_rational_function, render_form, render_laurent)
 from resym.cli import main
+from resym.parser import MAX_NESTING
 from resym.verify import rand_fraction, rand_laurent, rand_rational_function
 
 
@@ -454,17 +457,73 @@ DEEP_PARENS = "(" * 200 + "t" + ")" * 200
 
 
 def test_excessive_nesting_is_a_recursion_error_on_both_doors(tmp_path, capsys):
-    for argv in (["trace", DEEP_JSON], ["global-sum", DEEP_PARENS]):
-        code, (payload,) = run_cli(capsys, *argv)
-        assert code == 1 and payload == {"error": payload["error"], "kind": "RecursionError"}
+    """JSON nested past the recursion limit is a RecursionError; parentheses
+    nested past MAX_NESTING are a ParseError at the first one too many."""
+    deep_parens = {"error": "parse error at offset 100: expected at most 100 nested parentheses",
+                   "kind": "ParseError", "offset": 100}
+    code, (payload,) = run_cli(capsys, "trace", DEEP_JSON)
+    assert code == 1 and payload == {"error": payload["error"], "kind": "RecursionError"}
+    code, (payload,) = run_cli(capsys, "global-sum", DEEP_PARENS)
+    assert code == 1 and payload == deep_parens
     lines = [DEEP_JSON, json.dumps({"op": "global-sum", "function": DEEP_PARENS}),
              json.dumps({"op": "res", "form": "t^-1 d(t)"})]
     path = tmp_path / "tasks.jsonl"
     path.write_text("\n".join(lines), encoding="utf-8")
-    code, (deep_json, deep_parens, last) = run_cli(capsys, "--json-lines", str(path))
+    code, (deep_json, parens, last) = run_cli(capsys, "--json-lines", str(path))
     assert code == 1 and last["result"] == "1"
     assert deep_json == {"error": deep_json["error"], "kind": "RecursionError", "line": 1}
-    assert deep_parens["kind"] == "RecursionError" and deep_parens["line"] == 2
+    assert parens == {**deep_parens, "op": "global-sum", "function": DEEP_PARENS, "line": 2}
+
+
+def test_nesting_limit_is_exact(capsys):
+    """MAX_NESTING levels parse; one more is refused at the offset of its '('."""
+    assert MAX_NESTING == 100
+    code, (payload,) = run_cli(capsys, "global-sum", "(" * 100 + "t^-1" + ")" * 100)
+    assert code == 0 and payload["sum"] == "0" and payload["places"][0]["residue"] == "1"
+    inner = "1/t - 2"
+    assert parse_rational_function("(" * 100 + inner + ")" * 100) == \
+        parse_rational_function(inner)
+    text = "t + " + "(" * 101 + inner + ")" * 101
+    with pytest.raises(ParseError) as err:
+        parse_rational_function(text)
+    assert err.value.offset == text.index("(") + 100
+
+
+@contextmanager
+def int_str_digits(limit: int):
+    """The interpreter's int-to-str digit limit set to `limit` inside the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_exact_values_of_any_size_print_on_both_doors(tmp_path, capsys):
+    """Answers past str()'s default 4,300 digits print in full under that
+    limit; the expected text is made with the limit lifted."""
+    tasks = [({"form": "2^20000*t^-1 d(t)"}, 2 ** 20000),
+             # the trace of (1+i)^999999 = 2^499999 (1 - i)
+             ({"form": "(1+x)^999999*t^-1 d(t)", "ext": "x^2+1"}, 2 ** 500000)]
+    with int_str_digits(0):
+        expected = [str(value) for _, value in tasks]
+    assert [len(text) for text in expected] == [6021, 150515]
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps({"op": "res", **task}) for task, _ in tasks),
+                    encoding="utf-8")
+    with int_str_digits(4300):
+        for (task, _), text in zip(tasks, expected):
+            ext = ["--ext", task["ext"]] if "ext" in task else []
+            code, (payload,) = run_cli(capsys, "res", *ext, task["form"])
+            assert code == 0 and payload == {"value": text}
+        code, results = run_cli(capsys, "--json-lines", str(path))
+        assert code == 0 and [line["result"] for line in results] == expected
+        code, (payload,) = run_cli(capsys, "global-sum", "3^10000/t - 3^10000/(t-1)")
+    with int_str_digits(0):
+        big = str(3 ** 10000)
+    assert code == 0 and payload["sum"] == "0"
+    assert sorted(p["residue"] for p in payload["places"]) == sorted(["-" + big, big, "0"])
 
 
 def test_res_refuses_more_variables_than_wedge_factors_before_parsing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from resym import (ExtensionField, FieldMismatch, LaurentPoly, PolyQ, QQ, WindowedOperator,
                    field_trace)
+from resym.parser import parse_form, parse_scalar, render_form, render_laurent
+from resym.polynomials import rational_text
+from resym.scalars import render_scalar
 from resym.verify import rand_fraction
 
 GAUSS = ExtensionField(PolyQ((1, 0, 1)))        # Q[x]/(x^2+1)
@@ -131,6 +135,69 @@ def test_element_reduction_is_canonical():
 def test_render():
     assert GAUSS.render(GAUSS.element((3, 5))) == "3+5*x"
     assert QQ.render(Fraction(-3, 2)) == "-3/2"
+
+
+def test_rendered_text_edge_cases():
+    """Texts pinned as the renderers printed them before they shared one writer."""
+    half = Fraction(1, 2)
+    cases = [
+        (render_scalar(Fraction(0)), "0"), (render_scalar(Fraction(-3, 2)), "-3/2"),
+        (QQ.render(0), "0"), (render_scalar(GAUSS.zero), "0"),
+        (render_laurent(LaurentPoly(1, QQ, {(-2,): -1, (0,): 1, (1,): 1})), "-t^-2 + 1 + t"),
+        (render_laurent(LaurentPoly(1, QQ, {(3,): -1, (0,): -1})), "-1 - t^3"),
+        (PolyQ((-1, 0, 1, -1)).render(), "-t^3 + t^2 - 1"), (PolyQ((0, 1)).render("x"), "x"),
+        (PolyQ((-half,)).render(), "-1/2"), (PolyQ(()).render(), "0"),
+        (GAUSS.render(GAUSS.element((3, 5))), "3+5*x"), (GAUSS.render(-GAUSS.generator), "-x"),
+        (GAUSS.render(GAUSS.element((-half, -1))), "-1/2-x"),
+        (render_laurent(LaurentPoly(3, QQ, {(-1, 2, -3): Fraction(-2, 3), (0, 0, 1): 1,
+                                            (1, 0, 0): -1})),
+         "-2/3*t1^-1*t2^2*t3^-3 + t3 - t1"),
+        (render_laurent(LaurentPoly(2, GAUSS, {(-1, 0): GAUSS.element((-half, 1)),
+                                               (0, 0): 1, (0, 2): -GAUSS.generator})),
+         "(-1/2+x)*t1^-1 + (1) + (-x)*t2^2"),
+        (render_form(parse_form("-t1^-1*t2^-1 d(t1) ^ d(-t2 + 2)", 2)),
+         "-t1^-1*t2^-1 d(t1) ^ d(2 - t2)"),
+    ]
+    assert [got for got, _ in cases] == [want for _, want in cases]
+
+
+def test_rational_text_matches_str_at_every_size():
+    """Past str()'s default 4,300 digits the text is the divmod halves'; it
+    equals str() with the limit lifted, and the limit is left as it was."""
+    values = [0, 1, -7, 10 ** 4299, 10 ** 4300, -(10 ** 4300) + 1, 2 ** 14000, 2 ** 14001,
+              3 ** 30000, Fraction(-(7 ** 9000), 11 ** 5000), Fraction(5, 10 ** 9000 + 1)]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(Fraction(v)) for v in values]
+    finally:
+        sys.set_int_max_str_digits(4300)
+    try:
+        assert [rational_text(v) for v in values] == expected
+        assert [render_scalar(Fraction(v)) for v in values] == expected
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# the moduli x+3, x^2+1, a non-integral cubic and x^4+1
+_ROUND_TRIP_FIELDS = [ExtensionField(PolyQ((3, 1))), GAUSS,
+                      ExtensionField(PolyQ((Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3), 1))),
+                      ExtensionField(PolyQ((1, 0, 0, 0, 1)))]
+
+
+@pytest.mark.parametrize("field", _ROUND_TRIP_FIELDS, ids=lambda f: f"degree{f.degree}")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rendered_scalars_parse_back_property(field, data):
+    """parse_scalar reads back what render_scalar writes: the unspaced
+    extension text, zero coefficients and unit coefficients included."""
+    coeffs = st.one_of(st.sampled_from((0, 1, -1)), st.builds(
+        Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3)))
+    e = field.element(data.draw(st.lists(coeffs, min_size=field.degree, max_size=field.degree)))
+    assert parse_scalar(render_scalar(e), field) == e
+    q = data.draw(coeffs)
+    assert parse_scalar(render_scalar(q)) == q
 
 
 _FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
