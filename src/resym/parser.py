@@ -8,7 +8,8 @@ monomial, parsed straight into one coefficient and one exponent vector,
 and one LaurentPoly takes all the terms of a sum.  Differential forms
 append d-blocks joined by the wedge '^':  [expr] d(expr) ^ d(expr).
 Rational functions in one variable allow the four operations with the
-usual precedence and parentheses.  Literals and exponents are ASCII
+usual precedence and parentheses; they are built as unreduced quotients
+and reduced once.  Literals and exponents are ASCII
 digits.  Whitespace is ignored everywhere and errors carry character
 offsets into the text.
 """
@@ -221,25 +222,21 @@ class _Parser:
 
     # -- rational functions -----------------------------------------------------
 
-    def rf_expr(self) -> RationalFunction:
+    def rf_expr(self) -> "_Quotient":
         return self.signed_sum(lambda: self.product(self.rf_power, ("*", "/")))
 
-    def rf_power(self) -> RationalFunction:
+    def rf_power(self) -> "_Quotient":
         base = self.rf_atom()
         k = self.power()
-        if k == 1:
-            return base
-        # num and den are coprime, so their powers are too.
-        num, den = base.num ** abs(k), base.den ** abs(k)
-        return RationalFunction(num, den) if k >= 0 else RationalFunction(den, num)
+        return base if k == 1 else base ** k
 
-    def rf_atom(self) -> RationalFunction:
+    def rf_atom(self) -> "_Quotient":
         kind, text, pos = self.peek()
         if kind == "num":
-            return RationalFunction(PolyQ.constant(self.rational_literal()))
+            return _Quotient(PolyQ.constant(self.rational_literal()))
         if kind == "name" and text == "t":
             self.next()
-            return RationalFunction(PolyQ.x())
+            return _Quotient(PolyQ.x())
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(pos, f"at most {MAX_NESTING} nested parentheses")
@@ -255,6 +252,44 @@ class _Parser:
         if self.peek()[0] != "end":
             self.fail("end of input")
         return value
+
+
+class _Quotient:
+    """num/den as parsed: the four operations and integer powers of a
+    rational function, with no gcd per operation.  The denominator is never
+    zero; parse_rational_function reduces the pair once, at the end."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: PolyQ, den: PolyQ = None):
+        self.num = num
+        self.den = PolyQ.one() if den is None else den
+
+    def __add__(self, other: "_Quotient") -> "_Quotient":
+        if self.den == other.den:
+            return _Quotient(self.num + other.num, self.den)
+        return _Quotient(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other: "_Quotient") -> "_Quotient":
+        return self + (-other)
+
+    def __neg__(self) -> "_Quotient":
+        return _Quotient(-self.num, self.den)
+
+    def __mul__(self, other: "_Quotient") -> "_Quotient":
+        return _Quotient(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other: "_Quotient") -> "_Quotient":
+        if other.num.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return _Quotient(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, k: int) -> "_Quotient":
+        if k >= 0:
+            return _Quotient(self.num ** k, self.den ** k)
+        if self.num.is_zero():
+            raise ZeroDivisionError("zero to a negative power")
+        return _Quotient(self.den ** -k, self.num ** -k)
 
 
 # -- public entry points ------------------------------------------------------
@@ -284,7 +319,8 @@ def parse_form(text: str, dim: int, field=QQ) -> DifferentialForm:
 
 def parse_rational_function(text: str) -> RationalFunction:
     p = _Parser(text, 1, QQ)
-    return p.finish(p.rf_expr())
+    q = p.finish(p.rf_expr())
+    return RationalFunction(q.num, q.den)
 
 
 def parse_scalar(text: str, field=QQ):

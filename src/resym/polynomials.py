@@ -1,8 +1,9 @@
 """Dense univariate polynomials over Q.
 
 These back the extension-field moduli, the rational functions on the
-projective line, and the trial factorization into irreducibles of degree
-at most four that the global residue checker relies on.
+projective line, and the factorization into irreducibles of degree at
+most four that the global residue checker relies on: a squarefree
+decomposition first, then rational roots and quartic splits of each part.
 """
 
 from __future__ import annotations
@@ -398,31 +399,51 @@ def is_irreducible(p: PolyQ) -> bool:
     return factor_monic(p) == [(p, 1)]
 
 
+def squarefree_decomposition(p: PolyQ):
+    """Yun's squarefree decomposition of a monic p: (q_i, i) pairs, i
+    increasing, with p = prod q_i^i and the q_i monic, squarefree and
+    pairwise coprime; parts equal to 1 are left out.
+
+    Each step takes one gcd, and divides only by a gcd of positive degree.
+    """
+    out = []
+    dp = p.derivative()
+    g = p.gcd(dp)
+    b, c = (p // g, dp // g) if g.degree > 0 else (p, dp)
+    i = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = b.gcd(d)
+        if g.degree > 0:
+            out.append((g, i))
+            b, d = b // g, d // g
+        c = d
+        i += 1
+    return out
+
+
 def factor_monic(p: PolyQ):
     """Factor a monic polynomial into monic irreducibles of degree <= 4.
 
-    Returns sorted (factor, multiplicity) pairs.  Raises
-    UnsupportedFactorization when a residual factor of degree > 4 remains
-    after all rational roots are removed.
+    Returns sorted (factor, multiplicity) pairs.  Each squarefree part q_i
+    of p = prod q_i^i has its rational roots divided out; what is left has
+    no rational root, so it is irreducible at degree 2 or 3, and at degree
+    4 it is irreducible or splits into two quadratics.  Every factor of q_i
+    has multiplicity i.  Raises UnsupportedFactorization when a part leaves
+    a residual factor of degree > 4.
     """
     if not p.is_monic():
         raise ValueError("factorization expects a monic polynomial")
-    roots, rest = _split_rational_roots(p)
-    factors: dict[PolyQ, int] = {PolyQ((-r, 1)): mult for r, mult in roots}
-    queue = [rest]
-    while queue:
-        q = queue.pop()
-        if q.degree <= 0:
-            continue
-        if q.degree in (2, 3):
-            factors[q] = factors.get(q, 0) + 1
-        elif q.degree == 4:
-            split = _quartic_quadratic_split(q)
-            if split is None:
-                factors[q] = factors.get(q, 0) + 1
-            else:
-                queue.extend(split)
-        else:
+    factors: dict[PolyQ, int] = {}
+    for part, mult in squarefree_decomposition(p):
+        roots, rest = _split_rational_roots(part)
+        if rest.degree > 4:
             raise UnsupportedFactorization(
-                f"residual factor of degree {q.degree} has no rational root")
+                f"residual factor of degree {rest.degree} has no rational root")
+        irreducibles = [PolyQ((-r, 1)) for r, _ in roots]
+        if rest.degree == 4:
+            irreducibles.extend(_quartic_quadratic_split(rest) or (rest,))
+        elif rest.degree > 0:
+            irreducibles.append(rest)
+        factors.update((f, mult) for f in irreducibles)
     return sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -23,7 +23,8 @@ from .scalars import QQ, ExtensionField, field_trace
 
 
 class RationalFunction:
-    """Quotient of univariate polynomials over Q, reduced, monic denominator."""
+    """Quotient of univariate polynomials over Q, reduced by one gcd when
+    built, monic denominator; the parser's arithmetic makes one at the end."""
 
     __slots__ = ("num", "den")
 
@@ -50,24 +51,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def render(self) -> str:
         if self.den == PolyQ.one():

@@ -5,6 +5,7 @@ import random
 import shlex
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,79 @@ def test_rational_powers_match_written_out_products():
     assert parse_rational_function("(t-1)^0") == RationalFunction(PolyQ.one())
     with pytest.raises(ZeroDivisionError):
         parse_rational_function("0^-1")
+
+
+def _random_rf(rng: random.Random, depth: int):
+    """(text, sympy value, whether the text divides by zero) for a random
+    expression in t: literals, t - a, the four operations and powers -3..3,
+    nested `depth` levels.  Every operand is parenthesized, and so is a
+    fraction literal, since "t/3/2" reads "3/2" as one literal."""
+    import sympy
+    t = sympy.Symbol("t")
+    if depth == 0 or rng.random() < 0.25:
+        pick = rng.randrange(4)
+        if pick == 0:
+            return "t", t, False
+        if pick == 1:
+            k = rng.randint(0, 4)
+            return str(k), sympy.Integer(k), False
+        q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        value = sympy.Rational(q.numerator, q.denominator)
+        if pick == 2:
+            return f"({q})", value, False
+        return (f"(t - {q})" if q >= 0 else f"(t + {-q})"), t - value, False
+    if rng.random() < 0.25:
+        text, value, bad = _random_rf(rng, depth - 1)
+        k = rng.randint(-3, 3)
+        bad = bad or (k < 0 and sympy.cancel(value) == 0)
+        return f"({text})^{k}", (value ** k if not bad else value), bad
+    (lt, lv, lbad), (rt, rv, rbad) = _random_rf(rng, depth - 1), _random_rf(rng, depth - 1)
+    op = rng.choice("+-*/")
+    bad = lbad or rbad or (op == "/" and sympy.cancel(rv) == 0)
+    if bad:
+        value = lv
+    else:
+        value = {"+": lv + rv, "-": lv - rv, "*": lv * rv, "/": lv / rv}[op]
+    return f"({lt}) {op} ({rt})", value, bad
+
+
+def test_parsed_quotients_match_sympy_cancel():
+    """Seeded random texts with + - * /, negative powers and nesting: the
+    parsed function is sympy.cancel of the same expression with a monic
+    denominator, and a text that divides by zero is a ZeroDivisionError."""
+    import sympy
+    t = sympy.Symbol("t")
+    rng = random.Random(1776)
+    checked = refused = 0
+    for _ in range(150):
+        text, value, bad = _random_rf(rng, rng.randint(1, 4))
+        if bad:
+            refused += 1
+            with pytest.raises(ZeroDivisionError):
+                parse_rational_function(text)
+            continue
+        checked += 1
+        num, den = (sympy.Poly(part, t, domain="QQ")
+                    for part in sympy.fraction(sympy.cancel(value)))
+        lead = den.LC()
+        want = [[Fraction(int(c.p), int(c.q)) for c in reversed((part * (1 / lead)).all_coeffs())]
+                for part in (num, den)]
+        rf = parse_rational_function(text)
+        assert [list(rf.num.coeffs) or [0], list(rf.den.coeffs)] == want, text
+    assert checked >= 120 and refused >= 3
+
+
+def test_division_by_zero_keeps_its_kind_on_both_doors(tmp_path, capsys):
+    cases = {"1/0": "ParseError", "0^-1": "ZeroDivisionError",
+             "1/(t-t)": "ZeroDivisionError", "(t-t)^-2": "ZeroDivisionError"}
+    for text, kind in cases.items():
+        code, (payload,) = run_cli(capsys, "global-sum", text)
+        assert code == 1 and payload["kind"] == kind
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps({"op": "global-sum", "function": text}) for text in cases),
+                    encoding="utf-8")
+    code, payloads = run_cli(capsys, "--json-lines", str(path))
+    assert code == 1 and [p["kind"] for p in payloads] == list(cases.values())
 
 
 def test_parse_error_offset():

@@ -7,7 +7,8 @@ import pytest
 
 from resym import (ExtensionField, LaurentPoly, PolyQ, UnsupportedFactorization,
                    factor_monic, is_irreducible)
-from resym.polynomials import _divisors, binary_power, rational_roots, sqrt_fraction
+from resym.polynomials import (_divisors, binary_power, rational_roots, sqrt_fraction,
+                               squarefree_decomposition)
 
 
 def test_divmod_roundtrip():
@@ -47,16 +48,36 @@ def test_repeated_rational_roots_and_their_cofactor():
 
 
 def test_each_root_is_divided_out_once(monkeypatch):
-    divisions = [0]
-    divmod_ = PolyQ.__divmod__
+    """Work counts, no wall clock.  A root of multiplicity k is divided out
+    of its squarefree part once, instead of k times out of ever smaller
+    powers: the dividend degrees of all divisions sum to at most 5k, where
+    repeated deflation sums k + (k-1) + ... + 1 (820 at k = 40).  Root
+    candidates come from the squarefree parts, whose end coefficients are
+    small: t - 3/2 and (t^2+1)(t+2) give 8 + 4 candidates, where the
+    rational root theorem on (t - 3/2)^20 (t^2+1)(t+2) itself gives over
+    900 that are evaluated."""
+    work = {"degree": 0, "evaluations": 0}
+    divmod_, evaluate = PolyQ.__divmod__, PolyQ.evaluate
 
-    def counted(self, other):
-        divisions[0] += 1
+    def counted_divmod(self, other):
+        work["degree"] += max(self.degree, 0)
         return divmod_(self, other)
 
-    monkeypatch.setattr(PolyQ, "__divmod__", counted)
-    assert factor_monic(PolyQ((1, 1)) ** 40) == [(PolyQ((1, 1)), 40)]
-    assert divisions[0] == 40
+    def counted_evaluate(self, value):
+        work["evaluations"] += 1
+        return evaluate(self, value)
+
+    monkeypatch.setattr(PolyQ, "__divmod__", counted_divmod)
+    monkeypatch.setattr(PolyQ, "evaluate", counted_evaluate)
+    for k in (40, 80):
+        work["degree"] = 0
+        assert factor_monic(PolyQ((1, 1)) ** k) == [(PolyQ((1, 1)), k)]
+        assert work["degree"] <= 5 * k
+    work["evaluations"] = 0
+    root, quadratic, linear = PolyQ((Fraction(-3, 2), 1)), PolyQ((1, 0, 1)), PolyQ((2, 1))
+    assert factor_monic(root ** 20 * quadratic * linear) == \
+        [(root, 20), (linear, 1), (quadratic, 1)]
+    assert work["evaluations"] <= 12
 
 
 def test_divisors_match_brute_force():
@@ -209,3 +230,83 @@ def test_float_exponents_are_refused(monkeypatch):
         calls.clear()
         base ** 40
         assert calls == [40]
+
+
+# -- squarefree decomposition and factoring against sympy ----------------------
+
+
+def _sympy_poly(p: PolyQ):
+    import sympy
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                      sympy.Symbol("t"), domain="QQ")
+
+
+def _from_sympy(poly) -> PolyQ:
+    return PolyQ([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+def _irreducibles(rng: random.Random, degree: int, count: int) -> list:
+    """`count` distinct monic irreducibles of `degree` with small rational
+    coefficients; irreducibility is decided by sympy."""
+    found = []
+    while len(found) < count:
+        p = PolyQ([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree)] + [1])
+        if p not in found and _sympy_poly(p).is_irreducible:
+            found.append(p)
+    return found
+
+
+def test_factor_monic_matches_sympy_on_repeated_factors():
+    """200 seeded products of irreducibles of degree 1-4 with multiplicities
+    1-6, up to degree 16.  squarefree_decomposition equals sympy.sqf_list on
+    each.  factor_monic equals sympy.factor_list factor for factor when no
+    squarefree part keeps a residual of degree >= 5 once its rational roots
+    are gone, and refuses otherwise."""
+    rng = random.Random(1976)
+    pool = {d: _irreducibles(rng, d, 6) for d in (1, 2, 3, 4)}
+    answered = refused = repeated_nonlinear = 0
+    for _ in range(200):
+        chosen = {}
+        while not chosen or rng.random() < 0.6:
+            f = rng.choice(pool[rng.choice((1, 2, 2, 3, 3, 4))])
+            # a small multiplicity often, so that parts share nonlinear factors
+            chosen[f] = rng.randint(1, 6 if rng.random() < 0.6 else 2)
+            if sum(f.degree * m for f, m in chosen.items()) > 16:
+                del chosen[f]
+                break
+        p = PolyQ.one()
+        for f, m in chosen.items():
+            p = p * f ** m
+        sp = _sympy_poly(p)
+        _, sqf = sp.sqf_list()
+        assert squarefree_decomposition(p) == [(_from_sympy(q.monic()), m) for q, m in sqf]
+        residual = {}
+        for f, m in chosen.items():
+            if f.degree > 1:
+                residual[m] = residual.get(m, 0) + f.degree
+        if max(residual.values(), default=0) >= 5:
+            refused += 1
+            with pytest.raises(UnsupportedFactorization):
+                factor_monic(p)
+            continue
+        answered += 1
+        repeated_nonlinear += any(f.degree > 1 and m > 1 for f, m in chosen.items())
+        _, factors = sp.factor_list()
+        assert dict(factor_monic(p)) == {_from_sympy(q.monic()): m for q, m in factors}
+    assert answered >= 150 and refused >= 20 and repeated_nonlinear >= 80
+
+
+def test_repeated_irreducible_factors_answer():
+    """A repeated irreducible factor of degree 2-4 leaves a residual of degree
+    >= 5 when the roots are split off the whole polynomial; its squarefree
+    parts do not."""
+    t2_3, t2_1, t3_2 = PolyQ((-3, 0, 1)), PolyQ((1, 0, 1)), PolyQ((-2, 0, 0, 1))
+    quartic = PolyQ((1, 0, 0, 0, 1))
+    assert factor_monic(t2_3 ** 40) == [(t2_3, 40)]
+    assert factor_monic(t2_1 ** 3 * t3_2) == [(t2_1, 3), (t3_2, 1)]
+    assert factor_monic(quartic ** 2 * t3_2 ** 3) == [(t3_2, 3), (quartic, 2)]
+    # (t^2+t+1)(t^3-t^2+1): a degree-5 squarefree part with no rational root
+    with pytest.raises(UnsupportedFactorization):
+        factor_monic(PolyQ((1, 1, 0, 0, 0, 1)))
+    with pytest.raises(UnsupportedFactorization):
+        factor_monic(t2_1 ** 2 * t3_2 ** 2)

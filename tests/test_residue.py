@@ -238,3 +238,99 @@ def test_coordinate_invariance_insufficient_order():
     f = LaurentPoly.monomial(1, (-5,))
     with pytest.raises(PrecisionError):
         coordinate_invariance_check_1d(f, 2)
+
+
+# -- global sums with repeated irreducible factors -------------------------------
+
+
+def _sympy_expr(p: PolyQ, t):
+    import sympy
+    return sum(sympy.Rational(c.numerator, c.denominator) * t ** k for k, c in enumerate(p.coeffs))
+
+
+def _place_sum_oracle(num: PolyQ, factors, place: PolyQ) -> Fraction:
+    """The sum over the complex roots a of `place` of res_{t=a} num/den dt,
+    den = prod f^m over `factors`, by sympy alone.  At a place of degree <= 2
+    each root a is explicit and the residue is g^(m-1)(a) / (m-1)! for
+    g = (t - a)^m num/den; at a simple place of higher degree it is the sum
+    of N(a)/D'(a), that is Tr N(M) D'(M)^-1 with M the companion matrix."""
+    import sympy
+    t = sympy.Symbol("t")
+    N = _sympy_expr(num, t)
+    m = dict(factors)[place]
+    cofactor = sympy.Mul(*(_sympy_expr(f, t) ** k for f, k in factors if f != place))
+    q = _sympy_expr(place, t)
+    if place.degree <= 2:
+        roots = list(sympy.roots(q, t))
+        value = 0
+        for a in roots:
+            g = N / (cofactor * sympy.Mul(*(t - b for b in roots if b != a)) ** m)
+            value += sympy.diff(g, t, m - 1).subs(t, a) / sympy.factorial(m - 1)
+        value = sympy.expand(sympy.radsimp(value))
+    else:
+        assert m == 1
+        M = sympy.Matrix.companion(sympy.Poly(q, t))
+
+        def at(expr):
+            coeffs = sympy.Poly(sympy.expand(expr), t).all_coeffs()[::-1]
+            return sum((c * M ** k for k, c in enumerate(coeffs)), sympy.zeros(*M.shape))
+
+        value = (at(N) * at(sympy.diff(cofactor * q, t)).inv()).trace()
+    assert value.is_Rational
+    return Fraction(int(value.p), int(value.q))
+
+
+def _repeated_factor_cases():
+    """(num, [(factor, multiplicity)]): the two named cases, then seeded
+    products mixing linear and quadratic factors of multiplicity 1-3 with a
+    cubic or quartic of multiplicity 1."""
+    t2_3, t2_1, t3_2 = PolyQ((-3, 0, 1)), PolyQ((1, 0, 1)), PolyQ((-2, 0, 0, 1))
+    cases = [(PolyQ.one(), [(t2_3, 40)]), (PolyQ.one(), [(t2_1, 3), (t3_2, 1)])]
+    quadratics = [PolyQ((1, 0, 1)), PolyQ((-2, 0, 1)), PolyQ((3, 0, 1)), PolyQ((2, 2, 1))]
+    higher = [PolyQ((-2, 0, 0, 1)), PolyQ((1, 1, 0, 0, 1)), PolyQ((1, 0, 0, 0, 1))]
+    rng = random.Random(40)
+    for _ in range(5):
+        factors = dict([(rng.choice(higher), 1), (rng.choice(quadratics), rng.randint(2, 3))])
+        root = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        factors[PolyQ((-root, 1))] = rng.randint(1, 3)
+        num = PolyQ([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] + [1])
+        cases.append((num, list(factors.items())))
+    return cases
+
+
+def _text(num: PolyQ, factors) -> str:
+    return f"({num.render()})/(" + "*".join(f"({f.render()})^{m}" for f, m in factors) + ")"
+
+
+def _by_place(places) -> dict:
+    return {entry["place"]: entry["residue"] for entry in places}
+
+
+def test_global_sum_with_repeated_irreducible_factors(tmp_path, capsys):
+    """Each place's residue equals the sympy oracle and the total is 0, in
+    the library, on the command line and as a --json-lines line."""
+    import json
+    from resym.cli import main
+    cases = _repeated_factor_cases()
+    lines = []
+    for num, factors in cases:
+        text = _text(num, factors)
+        expected = {f.render(): _place_sum_oracle(num, factors, f) for f, _ in factors}
+        # deg den >= deg num + 2: r dt has no pole at infinity
+        assert sum(f.degree * m for f, m in factors) >= num.degree + 2
+        expected["inf"] = 0
+        total, report = global_residue_sum(parse_rational_function(text))
+        assert total == 0
+        assert {place.render(): res for place, res in report} == expected
+        rendered = {place: str(value) for place, value in expected.items()}
+        assert main(["global-sum", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sum"] == "0" and _by_place(payload["places"]) == rendered
+        lines.append((text, rendered))
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("\n".join(json.dumps({"op": "global-sum", "function": text})
+                              for text, _ in lines), encoding="utf-8")
+    assert main(["--json-lines", str(path)]) == 0
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(o["function"], o["result"], _by_place(o["per_place"])) for o in out] == \
+        [(text, "0", rendered) for text, rendered in lines]
